@@ -30,22 +30,6 @@ void smr_options::validate() const {
     throw std::invalid_argument("smr_service: leaders must match shard count");
 }
 
-namespace {
-
-/// Phase 1 solicits promises from a *read* quorum, so a read-strategy
-/// draw only makes progress if its members cover some configured read
-/// quorum — the read-side analogue of check_selector_covers.
-void check_selector_read_covers(const quorum_selector& selector,
-                                const quorum_family& reads) {
-  for (const process_set& q : selector.strategy().reads.quorums)
-    if (!covered_quorum(reads, q))
-      throw std::invalid_argument(
-          "quorum selector: read-strategy quorum " + q.to_string() +
-          " covers no configured read quorum");
-}
-
-}  // namespace
-
 smr_service::smr_service(service_key keys, quorum_config config,
                          smr_options options)
     : keys_(keys), config_(std::move(config)), options_(std::move(options)) {
@@ -53,10 +37,8 @@ smr_service::smr_service(service_key keys, quorum_config config,
   config_.validate();
   options_.validate();
   for (std::size_t s = 0; s < options_.shards; ++s) {
-    if (const selector_ptr sel = selector_for(s)) {
+    if (const selector_ptr sel = selector_for(s))
       check_selector_covers(*sel, config_.writes);
-      check_selector_read_covers(*sel, config_.reads);
-    }
     if (options_.shard_selectors.empty()) break;  // one shared selector
   }
   shards_.resize(options_.shards);
@@ -102,11 +84,7 @@ void smr_service::start() {
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     shard_state& ss = shards_[s];
     ss.applied_seqs.resize(n);
-    ss.leader_activity = now();
-    if (leader_of(s, ss.view) == id())
-      begin_phase1(s);
-    else
-      arm_lease(s);
+    enter_view(s, ss.view);
   }
   retry_timer_ = set_timer(std::max<sim_time>(options_.resubmit_timeout / 2, 1));
 }
@@ -192,7 +170,9 @@ void smr_service::on_timeout(int timer_id) {
     case timer_ref::kind_t::lease: {
       shard_state& ss = shards_[ref.shard];
       ss.lease_armed = false;
-      if (ss.leading || ss.phase1_inflight) return;  // no lease while I lead
+      // A leader answers to the same patience while a round is open: if
+      // its acceptors have moved past its view, it yields the view too.
+      if (ss.leading && ss.inflight.empty()) renew_lease(ref.shard);
       if (now() - ss.leader_activity >= lease_patience(ss))
         lease_expired(ref.shard);
       else
@@ -207,8 +187,7 @@ void smr_service::on_timeout(int timer_id) {
       arm_heartbeat(ref.shard);
       return;
     }
-    case timer_ref::kind_t::escalate1:
-    case timer_ref::kind_t::escalate2:
+    case timer_ref::kind_t::escalate:
       escalate(ref);
       return;
   }
@@ -236,31 +215,32 @@ void smr_service::lease_expired(std::uint32_t shard) {
   shard_state& ss = shards_[shard];
   ++counters_.view_changes;
   if (tracer_) tracer_->leaf("smr.view_change", "smr", id(), {}, now());
-  ++ss.view;
-  ss.leader_activity = now();
-  if (leader_of(shard, ss.view) == id())
-    begin_phase1(shard);
-  else
-    arm_lease(shard);
+  enter_view(shard, ss.view + 1);
 }
 
 void smr_service::adopt_view(std::uint32_t shard, std::uint64_t view) {
+  if (view > shards_[shard].view) enter_view(shard, view);
+}
+
+/// Figure 6's view entry: promise the view and push 1B(view) to its
+/// leader — or campaign, when that leader is this process.
+void smr_service::enter_view(std::uint32_t shard, std::uint64_t view) {
   shard_state& ss = shards_[shard];
-  if (view <= ss.view) return;
-  const bool was_leader_role = ss.leading || ss.phase1_inflight;
+  if (ss.leading || ss.campaigning) step_down(shard);
   ss.view = view;
   ss.leader_activity = now();
-  if (was_leader_role)
-    step_down(shard);
-  else if (!ss.lease_armed)
-    arm_lease(shard);
+  arm_lease(shard);
+  const process_id leader = leader_of(shard, view);
+  if (leader == id())
+    begin_phase1(shard);
+  else
+    reply(shard, leader, make_message<p1b_msg>(shard, make_report(ss)));
 }
 
 void smr_service::step_down(std::uint32_t shard) {
   shard_state& ss = shards_[shard];
   ss.leading = false;
-  ss.phase1_inflight = false;
-  ss.p1bs = {};
+  ss.campaigning = false;
   ss.inflight.clear();
   if (tracer_) {
     // Abandoned rounds: close their spans here rather than letting
@@ -281,7 +261,6 @@ void smr_service::step_down(std::uint32_t shard) {
     ss.staged.clear();
     mark_dirty(shard);
   }
-  if (!ss.lease_armed) arm_lease(shard);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,59 +368,56 @@ void smr_service::drain(std::uint32_t shard) {
 
 void smr_service::begin_phase1(std::uint32_t shard) {
   shard_state& ss = shards_[shard];
-  if (ss.phase1_inflight || ss.leading) return;
-  if (ss.promised > ss.view) {
-    // Someone campaigns in a higher view; stand by as a follower (the
-    // lease keeps ticking so this shard can never stall leaderless).
-    arm_lease(shard);
-    return;
-  }
-  ss.phase1_inflight = true;
-  ss.p1bs = {};
+  ss.campaigning = true;
   ++counters_.phase1_rounds;
-  ss.promised = ss.view;  // self-promise
-  const std::uint64_t floor = ss.applied;
-  auto wire = make_message<p1a_msg>(shard, ss.view, floor);
-  if (tracer_) {
+  if (tracer_)
     ss.phase1_span = tracer_->begin_span("smr.phase1", "smr", id(), {}, now());
-    stamp_trace_span(wire, ss.phase1_span);
-  }
-  if (const selector_ptr sel = selector_for(shard)) {
-    ++counters_.targeted_phase1;
-    process_set targets = sample_targets(shard, /*is_phase1=*/true);
-    targets.erase(id());  // own report is added locally below
-    multicast(std::move(targets), std::move(wire));
-    arm_escalation(shard, /*is_phase1=*/true, ss.view);
-  } else {
-    broadcast(std::move(wire));  // own copy skipped in deliver()
-  }
-  // The candidate is its own first responder.
-  const auto quorum = ss.p1bs.add(id(), make_report(ss, floor), config_.reads);
-  if (quorum) finish_phase1(shard, *quorum);
+  try_finish_phase1(shard);  // buffered reports may already cover a quorum
 }
 
-smr_service::p1b_report smr_service::make_report(const shard_state& ss,
-                                                 std::uint64_t floor) const {
+smr_service::p1b_report smr_service::make_report(const shard_state& ss) const {
   p1b_report report;
+  report.view = ss.view;
   report.floor = ss.applied;
-  for (std::uint64_t s = floor; s < ss.chosen.size(); ++s)
+  for (std::uint64_t s = ss.applied; s < ss.chosen.size(); ++s)
     if (ss.chosen[s])
       report.slots.push_back(
           p1b_slot{s, true, accepted_rec<smr_entry_ptr>{0, ss.chosen[s]}});
-  for (const auto& [s, acc] : ss.accepted) {
-    if (s < floor) continue;
+  for (auto it = ss.accepted.lower_bound(ss.applied); it != ss.accepted.end();
+       ++it) {
+    const std::uint64_t s = it->first;
     if (s < ss.chosen.size() && ss.chosen[s]) continue;  // reported above
-    report.slots.push_back(p1b_slot{s, false, acc});
+    report.slots.push_back(p1b_slot{s, false, it->second});
   }
   return report;
+}
+
+/// A read quorum whose reports promise `view` or higher (our own state is
+/// always current). A report omits the slots below its floor, so it counts
+/// only once our applied prefix has caught up with it — otherwise a slot
+/// the reporter saw chosen could look like a gap here.
+std::optional<process_set> smr_service::promised_quorum(
+    const shard_state& ss, std::uint64_t view) const {
+  process_set usable = process_set::singleton(id());
+  for (const auto& [p, r] : ss.reports)
+    if (r.view >= view && r.floor <= ss.applied) usable.insert(p);
+  return covered_quorum(config_.reads, usable);
+}
+
+void smr_service::try_finish_phase1(std::uint32_t shard) {
+  shard_state& ss = shards_[shard];
+  if (!ss.campaigning) return;
+  if (const auto quorum = promised_quorum(ss, ss.view))
+    finish_phase1(shard, *quorum);
 }
 
 void smr_service::finish_phase1(std::uint32_t shard,
                                 const process_set& quorum) {
   shard_state& ss = shards_[shard];
-  ss.phase1_inflight = false;
+  ss.campaigning = false;
   ss.leading = true;
   ss.commit_sent = ss.applied;
+  renew_lease(shard);
   if (tracer_ && ss.phase1_span.valid()) {
     tracer_->end_span(ss.phase1_span, now());
     ss.phase1_span = {};
@@ -449,13 +425,15 @@ void smr_service::finish_phase1(std::uint32_t shard,
 
   // Aggregate the quorum's reports (plus our own acceptor state, whether
   // or not we are in the covered quorum) per slot.
-  std::vector<p1b_report> reports = ss.p1bs.gather(quorum);
-  if (!quorum.contains(id())) reports.push_back(make_report(ss, ss.applied));
+  const p1b_report own = make_report(ss);
+  std::vector<const p1b_report*> reports = {&own};
+  for (const process_id p : quorum)
+    if (p != id()) reports.push_back(&ss.reports.at(p));
   std::map<std::uint64_t, std::vector<accepted_rec<smr_entry_ptr>>> cands;
   std::map<std::uint64_t, smr_entry_ptr> learned;
   std::uint64_t hi = ss.chosen.size();
-  for (const p1b_report& r : reports) {
-    for (const p1b_slot& sl : r.slots) {
+  for (const p1b_report* r : reports) {
+    for (const p1b_slot& sl : r->slots) {
       hi = std::max(hi, sl.slot + 1);
       if (sl.chosen)
         learned[sl.slot] = *sl.acc.val;
@@ -484,13 +462,6 @@ void smr_service::finish_phase1(std::uint32_t shard,
     begin_phase2(shard, s, std::move(entry));
   }
 
-  // Catch up quorum members that trail our committed prefix.
-  for (const process_id p : quorum) {
-    if (p == id()) continue;
-    for (std::uint64_t s = ss.p1bs.at(p).floor; s < ss.applied; ++s)
-      unicast(p, make_message<commit_msg>(shard, ss.view, s, ss.chosen[s]));
-  }
-
   announce_commits(shard);
   apply_prefix(shard);
   arm_heartbeat(shard);
@@ -504,6 +475,7 @@ void smr_service::begin_phase2(std::uint32_t shard, std::uint64_t slot,
                                smr_entry_ptr entry) {
   shard_state& ss = shards_[shard];
   ++counters_.entries_proposed;  // one Phase-2 round per entry
+  if (ss.inflight.empty()) renew_lease(shard);  // the stall clock starts
   ss.accepted[slot] = accepted_rec<smr_entry_ptr>{ss.view, entry};  // self
   auto wire = make_message<p2a_msg>(shard, ss.view, slot, entry);
   if (tracer_) {
@@ -527,10 +499,10 @@ void smr_service::begin_phase2(std::uint32_t shard, std::uint64_t slot,
   (void)fresh;
   if (const selector_ptr sel = selector_for(shard)) {
     ++counters_.targeted_phase2;
-    process_set targets = sample_targets(shard, /*is_phase1=*/false);
+    process_set targets = sample_targets(shard);
     targets.erase(id());  // accepted locally above
     multicast(std::move(targets), std::move(wire));
-    arm_escalation(shard, /*is_phase1=*/false, slot);
+    arm_escalation(shard, slot);
   } else {
     broadcast(std::move(wire));
   }
@@ -544,6 +516,7 @@ void smr_service::phase2_won(std::uint32_t shard, std::uint64_t slot) {
   if (it == ss.inflight.end()) return;
   smr_entry_ptr entry = it->second.entry;
   ss.inflight.erase(it);
+  renew_lease(shard);
   if (tracer_) {
     const auto p2 = ss.phase2_spans.find(slot);
     if (p2 != ss.phase2_spans.end()) {
@@ -647,8 +620,6 @@ void smr_service::apply_entry(std::uint32_t shard, const smr_entry& entry) {
 void smr_service::deliver(process_id origin, const message_ptr& payload) {
   if (const auto* m = message_cast<fwd_msg>(payload)) {
     on_fwd(*m);
-  } else if (const auto* m = message_cast<p1a_msg>(payload)) {
-    if (origin != id()) on_p1a(origin, *m);  // own broadcast copy: handled
   } else if (const auto* m = message_cast<p1b_msg>(payload)) {
     on_p1b(origin, *m);
   } else if (const auto* m = message_cast<p2a_msg>(payload)) {
@@ -671,29 +642,31 @@ void smr_service::on_fwd(const fwd_msg& m) {
   }
 }
 
-void smr_service::on_p1a(process_id origin, const p1a_msg& m) {
-  shard_state& ss = shards_[m.shard];
-  adopt_view(m.shard, m.view);
-  if (m.view < ss.promised) return;  // stale candidate; no reply
-  ss.promised = m.view;
-  if (m.view == ss.view) renew_lease(m.shard);  // the campaign is activity
-  reply(m.shard, origin,
-        make_message<p1b_msg>(m.shard, m.view, make_report(ss, m.floor)));
-}
-
+/// Buffers the reporter's freshest 1B: a promise for a higher view covers
+/// every lower view, so it stays usable until this leader passes it.
 void smr_service::on_p1b(process_id origin, const p1b_msg& m) {
   shard_state& ss = shards_[m.shard];
-  if (!ss.phase1_inflight || m.view != ss.view) return;  // stale round
-  const auto quorum = ss.p1bs.add(origin, m.report, config_.reads);
-  if (quorum) finish_phase1(m.shard, *quorum);
+  const auto [it, fresh] = ss.reports.try_emplace(origin, m.report);
+  if (!fresh) {
+    if (it->second.view >= m.report.view) return;  // reordered, older
+    it->second = m.report;
+  }
+  // A read quorum already promised a higher view this process leads: no
+  // lower view can win those acceptors any more, so jump there and lead.
+  const std::uint64_t view = m.report.view;
+  if (view > ss.view && leader_of(m.shard, view) == id() &&
+      promised_quorum(ss, view)) {
+    enter_view(m.shard, view);
+    return;
+  }
+  try_finish_phase1(m.shard);
 }
 
 void smr_service::on_p2a(process_id origin, const p2a_msg& m) {
   shard_state& ss = shards_[m.shard];
-  if (m.view < ss.promised) return;  // promised away
+  if (m.view < ss.view) return;  // promised away
   adopt_view(m.shard, m.view);
-  ss.promised = m.view;
-  if (m.view == ss.view) renew_lease(m.shard);
+  renew_lease(m.shard);
   const auto acc = ss.accepted.find(m.slot);
   if (acc == ss.accepted.end() || acc->second.aview <= m.view)
     ss.accepted[m.slot] = accepted_rec<smr_entry_ptr>{m.view, m.entry};
@@ -715,6 +688,7 @@ void smr_service::on_commit(const commit_msg& m) {
   if (m.view == ss.view) renew_lease(m.shard);
   mark_chosen(m.shard, m.slot, m.entry);
   apply_prefix(m.shard);
+  try_finish_phase1(m.shard);  // a campaign may await this prefix
 }
 
 void smr_service::on_hb(const hb_msg& m) {
@@ -726,44 +700,29 @@ void smr_service::on_hb(const hb_msg& m) {
 // ---------------------------------------------------------------------------
 // targeted access
 
-process_set smr_service::sample_targets(std::uint32_t shard, bool is_phase1) {
-  const selector_ptr sel = selector_for(shard);
+process_set smr_service::sample_targets(std::uint32_t shard) {
   const process_set targets =
-      is_phase1 ? sel->sample_read(id(), sample_seq_++)
-                : sel->sample_write(id(), sample_seq_++);
+      selector_for(shard)->sample_write(id(), sample_seq_++);
   for (const process_id p : targets) ++quorum_hits_[p];
   return targets;
 }
 
-void smr_service::arm_escalation(std::uint32_t shard, bool is_phase1,
-                                 std::uint64_t seq) {
+void smr_service::arm_escalation(std::uint32_t shard, std::uint64_t slot) {
   if (options_.escalation_timeout <= 0) return;  // mutation switch
   timers_[set_timer(options_.escalation_timeout)] =
-      timer_ref{is_phase1 ? timer_ref::kind_t::escalate1
-                          : timer_ref::kind_t::escalate2,
-                shard, seq};
+      timer_ref{timer_ref::kind_t::escalate, shard, slot};
 }
 
-/// A targeted phase round ran out of patience: fall back to the full
+/// A targeted Phase-2 round ran out of patience: fall back to the full
 /// broadcast, which reaches every process the flooding layer can —
 /// liveness under a failure pattern is therefore the broadcast engine's.
 void smr_service::escalate(const timer_ref& ref) {
   shard_state& ss = shards_[ref.shard];
-  if (ref.kind == timer_ref::kind_t::escalate1) {
-    if (!ss.phase1_inflight || ss.view != ref.seq) return;  // completed
-    ++counters_.escalations;
-    if (tracer_)
-      tracer_->leaf("smr.escalate", "smr", id(), ss.phase1_span, now());
-    auto wire = make_message<p1a_msg>(ref.shard, ss.view, ss.applied);
-    stamp_trace_span(wire, ss.phase1_span);
-    broadcast(std::move(wire));
-    return;
-  }
-  const auto it = ss.inflight.find(ref.seq);
+  const auto it = ss.inflight.find(ref.slot);
   if (!ss.leading || it == ss.inflight.end()) return;  // decided already
   ++counters_.escalations;
   if (tracer_) {
-    const auto root = ss.slot_spans.find(ref.seq);
+    const auto root = ss.slot_spans.find(ref.slot);
     tracer_->leaf("smr.escalate", "smr", id(),
                   root != ss.slot_spans.end() ? root->second : span_ref{},
                   now());

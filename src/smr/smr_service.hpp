@@ -1,43 +1,51 @@
-// smr_service.hpp — sharded, pipelined state-machine replication on the
-// shared-engine fast path.
+// smr_service.hpp — sharded, pipelined state-machine replication over a
+// generalized quorum system.
 //
-// The seed replicated log (smr/replicated_log.hpp) runs one full Figure-6
-// consensus instance per slot over mux_host: every slot carries its own
-// view synchronizer, every phase message is a flooded broadcast, and a
-// replica submits one command at a time. smr_service keeps the Figure-6
-// protocol core — the view/leader rotation, the 1B/2A/2B phases over GQS
-// read and write quorums, the acceptor rules (consensus/acceptor_core.hpp)
-// — but restructures it the way quorum_service restructured the register
-// path:
+// The protocol core is the paper's Figure 6 — round-robin views, the
+// 1B/2A/2B phases over GQS read and write quorums, the acceptor rules of
+// consensus/acceptor_core.hpp — run as multi-decree Paxos and organised
+// the way quorum_service organises the register path:
 //
 //   * sharding — the keyspace is partitioned across independent consensus
 //     groups (shard(key) = key mod shards), each with its own log, leader
 //     and view schedule, all multiplexed over ONE component per process;
-//   * leases — the leader of a shard's current view acquires one Phase-1
-//     promise covering every slot (multi-decree Paxos) and keeps it while
-//     followers observe leader activity (commits/heartbeats renew a lease
-//     timer whose patience grows with the view, Proposition-2 style); on
-//     expiry followers advance the view round-robin and the new leader
-//     re-runs Phase 1 — the seed's view synchronizer, per shard instead
-//     of per slot;
+//   * pushed Phase 1 — as in Figure 6, a process entering view v promises
+//     v and pushes its 1B(v) (every accepted slot at or above its applied
+//     prefix) to leader(v); nobody solicits it. A read-quorum member may
+//     have no inbound channel at all (c under Figure 1's f1), so a
+//     request/response Phase 1 would not be live within U_f. The leader
+//     keeps each reporter's freshest 1B — a promise for a higher view
+//     covers every lower one — and takes the lease once the reports of
+//     some read quorum carry views ≥ its own. A process that a read
+//     quorum has promised a higher view it would lead jumps to that view:
+//     no lower view can win those acceptors any more;
+//   * leases — one Phase-1 promise covers every slot, and the leader keeps
+//     it while followers observe leader activity (commits/heartbeats renew
+//     a lease timer whose patience grows with the view, Proposition-2
+//     style). On expiry a follower, a candidate still short of a read
+//     quorum, or a leader whose open rounds stopped winning advances the
+//     view round-robin;
 //   * batching — commands submitted anywhere are forwarded to the shard
 //     leader and coalesced (one 0-delay flush per instant, the
 //     quorum_service idiom) into multi-command log entries, so steady
 //     state is ONE Phase-2 round per batch, amortized over its commands;
 //   * pipelining — up to `pipeline_window` slots run Phase 2 concurrently;
 //     commits are announced and applied strictly in slot order;
-//   * targeted quorums — Phase-1/Phase-2 messages go only to a
-//     strategy-sampled quorum (strategy/selector.hpp + flood_multicast),
-//     with the PR-5 timeout-escalation-to-broadcast fallback, so liveness
-//     under a failure pattern is exactly the broadcast engine's.
+//   * targeted quorums — Phase-2 messages go only to a strategy-sampled
+//     write quorum (strategy/selector.hpp + flood_multicast), with a
+//     timeout escalation to broadcast as the liveness fallback.
 //
 // Safety is per-slot Paxos over the GQS (Consistency of the quorum
 // system); the acceptor side is the shared acceptor_core under one
-// shard-wide promise. Exactly-once application: commands carry
-// (submitter, per-shard seq) and every replica dedups through a
-// sequence_filter while applying the identical log prefix, so retried
-// commands (resubmitted to a new leader after a lease expiry) apply once
-// at every replica deterministically.
+// shard-wide promise, the current view. A 1B omits the slots below its
+// sender's applied prefix, so a new leader finishes Phase 1 only from
+// reports whose prefix it has itself applied: the commit announcements
+// that taught the reporter those slots flood along the same path the 1B
+// took. Exactly-once application: commands carry (submitter, per-shard
+// seq) and every replica dedups through a sequence_filter while applying
+// the identical log prefix, so retried commands (resubmitted to a new
+// leader after a lease expiry) apply once at every replica
+// deterministically.
 #pragma once
 
 #include <cstdint>
@@ -99,11 +107,11 @@ struct smr_options {
   /// has not applied within this delay — the liveness path across leader
   /// failures. Dedup makes the retry safe.
   sim_time resubmit_timeout = 400000;  // 400 ms
-  /// With a selector: delay before a phase round that still lacks quorum
-  /// coverage falls back to full broadcast (the PR-5 escalation). 0
-  /// disables escalation — ONLY for mutation tests.
+  /// With a selector: delay before a Phase-2 round that still lacks
+  /// write-quorum coverage falls back to full broadcast. 0 disables
+  /// escalation — ONLY for mutation tests.
   sim_time escalation_timeout = 40000; // 40 ms
-  /// Strategy-targeted phase quorums; null keeps full broadcast.
+  /// Strategy-targeted Phase-2 quorums; null keeps full broadcast.
   selector_ptr selector;
   /// Per-shard selectors (strategy/shard_plan.hpp); overrides `selector`
   /// when non-empty (must then have one entry per shard).
@@ -122,8 +130,8 @@ struct smr_counters {
   std::uint64_t commands_deduped = 0;    ///< duplicate commits skipped
   std::uint64_t entries_proposed = 0;    ///< Phase-2 rounds started here
   std::uint64_t entries_committed = 0;   ///< commit announcements sent
-  std::uint64_t phase1_rounds = 0;
-  std::uint64_t targeted_phase1 = 0;
+  std::uint64_t phase1_rounds = 0;       ///< campaigns started here
+  std::uint64_t targeted_phase1 = 0;     ///< always 0: 1Bs are pushed
   std::uint64_t targeted_phase2 = 0;
   std::uint64_t escalations = 0;
   std::uint64_t view_changes = 0;        ///< lease expiries observed here
@@ -173,7 +181,7 @@ class smr_service : public component {
   service_key key_count() const noexcept { return keys_; }
   const smr_counters& counters() const noexcept { return counters_; }
 
-  /// How many targeted phase rounds sampled each process into their
+  /// How many targeted Phase-2 rounds sampled each process into their
   /// quorum (realized strategy load; zeros in broadcast mode).
   const std::vector<std::uint64_t>& per_process_quorum_hits() const noexcept {
     return quorum_hits_;
@@ -208,17 +216,6 @@ class smr_service : public component {
       return 8 + sizeof(smr_command) * cmds.size();
     }
   };
-  /// Phase 1: the view-v leader solicits promises over every slot ≥ its
-  /// committed floor.
-  struct p1a_msg : message {
-    std::uint32_t shard;
-    std::uint64_t view;
-    std::uint64_t floor;
-    p1a_msg(std::uint32_t s, std::uint64_t v, std::uint64_t f)
-        : shard(s), view(v), floor(f) {}
-    std::string debug_name() const override { return "SMR_1A"; }
-    std::size_t wire_size() const override { return 24; }
-  };
   /// One slot of a 1B report: either already chosen (decided value) or
   /// the acceptor's accepted pair.
   struct p1b_slot {
@@ -226,16 +223,19 @@ class smr_service : public component {
     bool chosen;
     accepted_rec<smr_entry_ptr> acc;
   };
+  /// A process's promise for `view` plus its acceptor state: every slot
+  /// at or above `floor`, its applied prefix (the slots below it are
+  /// chosen and omitted).
   struct p1b_report {
+    std::uint64_t view = 0;
     std::uint64_t floor = 0;
     std::vector<p1b_slot> slots;
   };
+  /// Phase 1, pushed to leader(view) on entering a view (Figure 6).
   struct p1b_msg : message {
     std::uint32_t shard;
-    std::uint64_t view;
     p1b_report report;
-    p1b_msg(std::uint32_t s, std::uint64_t v, p1b_report r)
-        : shard(s), view(v), report(std::move(r)) {}
+    p1b_msg(std::uint32_t s, p1b_report r) : shard(s), report(std::move(r)) {}
     std::string debug_name() const override { return "SMR_1B"; }
     std::size_t wire_size() const override {
       std::size_t bytes = 24;
@@ -310,9 +310,8 @@ class smr_service : public component {
 
   /// Per-shard protocol state at this replica.
   struct shard_state {
-    std::uint64_t view = 1;
+    std::uint64_t view = 1;  ///< also the acceptor's shard-wide promise
     // -- acceptor --
-    std::uint64_t promised = 0;  ///< shard-wide promise (covers all slots)
     std::map<std::uint64_t, accepted_rec<smr_entry_ptr>> accepted;
     // -- learner --
     std::vector<smr_entry_ptr> chosen;  ///< the log (indexed by slot)
@@ -320,8 +319,9 @@ class smr_service : public component {
     std::vector<sequence_filter> applied_seqs;  ///< per-submitter dedup
     // -- leader --
     bool leading = false;
-    bool phase1_inflight = false;
-    quorum_response_collector<p1b_report> p1bs;
+    bool campaigning = false;  ///< leader(view), Phase 1 not yet complete
+    /// Freshest 1B per reporter, kept across views.
+    std::map<process_id, p1b_report> reports;
     std::uint64_t next_slot = 0;    ///< next slot to propose into
     std::uint64_t commit_sent = 0;  ///< commits announced while leading
     std::map<std::uint64_t, inflight_round> inflight;
@@ -341,9 +341,9 @@ class smr_service : public component {
   };
 
   struct timer_ref {
-    enum class kind_t { lease, heartbeat, escalate1, escalate2 } kind;
+    enum class kind_t { lease, heartbeat, escalate } kind;
     std::uint32_t shard;
-    std::uint64_t seq;  ///< view (escalate1) or slot (escalate2)
+    std::uint64_t slot;  ///< escalate only
   };
 
   void check_key(service_key key) const {
@@ -371,13 +371,17 @@ class smr_service : public component {
   void drain(std::uint32_t shard);
 
   void begin_phase1(std::uint32_t shard);
+  std::optional<process_set> promised_quorum(const shard_state& ss,
+                                            std::uint64_t view) const;
+  void try_finish_phase1(std::uint32_t shard);
   void finish_phase1(std::uint32_t shard, const process_set& quorum);
-  p1b_report make_report(const shard_state& ss, std::uint64_t floor) const;
+  p1b_report make_report(const shard_state& ss) const;
   void begin_phase2(std::uint32_t shard, std::uint64_t slot,
                     smr_entry_ptr entry);
   void phase2_won(std::uint32_t shard, std::uint64_t slot);
   void announce_commits(std::uint32_t shard);
 
+  void enter_view(std::uint32_t shard, std::uint64_t view);
   void adopt_view(std::uint32_t shard, std::uint64_t view);
   void step_down(std::uint32_t shard);
   void arm_lease(std::uint32_t shard);
@@ -391,16 +395,14 @@ class smr_service : public component {
   void apply_entry(std::uint32_t shard, const smr_entry& entry);
 
   void on_fwd(const fwd_msg& m);
-  void on_p1a(process_id origin, const p1a_msg& m);
   void on_p1b(process_id origin, const p1b_msg& m);
   void on_p2a(process_id origin, const p2a_msg& m);
   void on_p2b(process_id origin, const p2b_msg& m);
   void on_commit(const commit_msg& m);
   void on_hb(const hb_msg& m);
 
-  process_set sample_targets(std::uint32_t shard, bool is_phase1);
-  void arm_escalation(std::uint32_t shard, bool is_phase1,
-                      std::uint64_t seq);
+  process_set sample_targets(std::uint32_t shard);
+  void arm_escalation(std::uint32_t shard, std::uint64_t slot);
   void escalate(const timer_ref& ref);
   void reply(std::uint32_t shard, process_id origin, message_ptr m);
   void retry_tick();

@@ -1,16 +1,21 @@
 // Tests for the sharded, pipelined SMR service (smr/smr_service.hpp):
-// commit and convergence over Figure-1 and threshold systems, command
-// forwarding, batching, sharding, lease-driven leader re-election after a
-// crash, retry-based exactly-once application, and strategy-targeted
-// phase quorums (fewer messages, identical outcomes, escalation as the
-// liveness fallback).
+// commit and convergence over Figure-1 and threshold systems, liveness
+// within U_f under every Figure-1 failure pattern (the pushed 1B), Phase-1
+// recovery when a report's applied prefix runs ahead of the new leader,
+// command forwarding, batching, sharding, lease-driven leader re-election
+// after a crash, retry-based exactly-once application, and
+// strategy-targeted Phase-2 quorums (fewer messages, identical outcomes,
+// escalation as the liveness fallback).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/factories.hpp"
+#include "core/quorum_system.hpp"
 #include "strategy/planner.hpp"
 #include "strategy/shard_plan.hpp"
 #include "workload/smr_workload.hpp"
@@ -19,6 +24,7 @@ namespace gqs {
 namespace {
 
 constexpr sim_time kLong = 600L * 1000 * 1000;  // 600 s
+constexpr process_id kA = 0, kB = 1, kC = 2;
 
 /// Submits `count` writes from `proc` (keys round-robin) and counts
 /// completions at the submitting replica.
@@ -54,19 +60,153 @@ bool converged(const smr_world& w, std::uint64_t min_cmds) {
 TEST(SmrService, CommitsAndConvergesOnFigure1) {
   const auto fig = make_figure1();
   smr_world w(fig.gqs, fault_plan::none(4), /*seed=*/1, /*keys=*/8);
-  submit_batch a, b;
-  a.fire(w.sim, w.nodes[0], 0, 8, 16);
-  b.fire(w.sim, w.nodes[2], 2, 8, 16);
+  // Every process submits concurrently, racing for the same slots.
+  std::map<process_id, submit_batch> batches;
+  for (process_id p = 0; p < 4; ++p)
+    batches[p].fire(w.sim, w.nodes[p], p, 8, 16);
   ASSERT_TRUE(w.sim.run_until_condition(
-      [&] { return a.completed == 16 && b.completed == 16; }, kLong));
+      [&] {
+        for (const auto& [p, b] : batches)
+          if (b.completed != 16) return false;
+        return true;
+      },
+      kLong));
   // Let commits propagate to every passive learner.
   ASSERT_TRUE(
-      w.sim.run_until_condition([&] { return converged(w, 32); }, kLong));
+      w.sim.run_until_condition([&] { return converged(w, 64); }, kLong));
   EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
-  // All replicas applied the identical log, so per-key states agree.
+  // All replicas applied the identical log, every command exactly once, so
+  // per-key states agree.
+  for (const smr_service* r : w.nodes)
+    EXPECT_EQ(r->counters().commands_applied, 64u);
   for (service_key k = 0; k < 8; ++k)
     for (const smr_service* r : w.nodes)
       EXPECT_EQ(r->state_of(k), w.nodes[0]->state_of(k)) << "key " << k;
+}
+
+TEST(SmrService, UfMembersCommitUnderEveryFigure1Pattern) {
+  // Under every pattern some read-quorum member has no channel from the
+  // leader (under f1, nothing reaches c at all): Phase 1 is live only
+  // because every process pushes its 1B on entering a view.
+  const auto fig = make_figure1();
+  for (std::size_t i = 0; i < fig.gqs.fps.size(); ++i) {
+    SCOPED_TRACE("failure pattern f" + std::to_string(i + 1));
+    const auto& f = fig.gqs.fps[i];
+    const process_set u_f = compute_u_f(fig.gqs, f);
+    ASSERT_GT(u_f.size(), 1) << "pattern leaves no contention to test";
+    smr_world w(fig.gqs, fault_plan::from_pattern(f, 0), /*seed=*/31 + i,
+                /*keys=*/4);
+    // Two rounds of concurrent submissions by the U_f members; the second
+    // round must extend the first round's prefix without disturbing it.
+    std::map<process_id, submit_batch> first, second;
+    for (const process_id p : u_f) {
+      first[p].fire(w.sim, w.nodes[p], p, 4, 10);
+      second[p].fire(w.sim, w.nodes[p], p, 4, 10, /*at=*/30L * 1000 * 1000);
+    }
+    ASSERT_TRUE(w.sim.run_until_condition(
+        [&] {
+          for (const process_id p : u_f)
+            if (first[p].completed != 10 || second[p].completed != 10)
+              return false;
+          return true;
+        },
+        kLong));
+    const std::uint64_t total = 20 * static_cast<std::uint64_t>(u_f.size());
+    ASSERT_TRUE(w.sim.run_until_condition(
+        [&] {
+          for (const process_id p : u_f)
+            if (w.nodes[p]->counters().commands_applied < total) return false;
+          return true;
+        },
+        w.sim.now() + kLong));
+    // Exactly once at every U_f replica, over identical prefixes.
+    for (const process_id p : u_f) {
+      EXPECT_EQ(w.nodes[p]->counters().commands_applied, total)
+          << "replica " << p;
+      EXPECT_EQ(w.nodes[p]->applied_prefix(0),
+                w.nodes[u_f.first()]->applied_prefix(0));
+      for (service_key k = 0; k < 4; ++k)
+        EXPECT_EQ(w.nodes[p]->state_of(k), w.nodes[u_f.first()]->state_of(k));
+    }
+    EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
+  }
+}
+
+TEST(SmrService, IsolatedReplicaLearnsNothingUnderF1) {
+  const auto fig = make_figure1();
+  smr_world w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0),
+              /*seed=*/6, /*keys=*/4);
+  submit_batch a;
+  a.fire(w.sim, w.nodes[kA], kA, 4, 4);
+  ASSERT_TRUE(
+      w.sim.run_until_condition([&] { return a.completed == 4; }, kLong));
+  w.sim.run_until(w.sim.now() + 60L * 1000 * 1000);
+  EXPECT_GT(w.nodes[kB]->applied_prefix(0), 0u);
+  EXPECT_EQ(w.nodes[kC]->applied_prefix(0), 0u)
+      << "c cannot hear any decision under f1";
+  EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
+}
+
+TEST(SmrService, ViewsReconvergeAfterAsynchronousPeriod) {
+  // Before GST message delays reach 200 ms, beyond the 200 ms patience of
+  // view 1, so replicas drift apart in views while two of them crash.
+  // After GST the survivors must settle on one leader per shard again: a
+  // process that a read quorum has promised a higher view it leads jumps
+  // there, and a leader whose rounds stall yields its view.
+  const auto gqs = threshold_quorum_system(8, 2);
+  shard_plan_options po;
+  po.shards = 4;
+  po.selector_seed = 8;
+  const auto plan = plan_shards(gqs, po);
+  smr_options opts;
+  opts.shards = 4;
+  opts.shard_selectors = plan.selectors;
+  opts.leaders = plan.leaders;
+  auto faults = fault_plan::none(8);
+  faults.crash(0, 1296000);
+  faults.crash(5, 2424000);
+  smr_world w(gqs, std::move(faults), /*seed=*/8, /*keys=*/8, opts,
+              consensus_world::partial_sync(/*gst=*/40L * 1000 * 1000));
+  std::map<process_id, submit_batch> first, second;
+  std::vector<const smr_service*> survivors;
+  for (process_id p = 1; p < 8; ++p) {
+    if (p == 5) continue;
+    first[p].fire(w.sim, w.nodes[p], p, 8, 10);
+    second[p].fire(w.sim, w.nodes[p], p, 8, 10, /*at=*/3L * 1000 * 1000);
+    survivors.push_back(w.nodes[p]);
+  }
+  ASSERT_TRUE(w.sim.run_until_condition(
+      [&] {
+        for (const auto& [p, b] : first)
+          if (b.completed != 10 || second[p].completed != 10) return false;
+        return true;
+      },
+      kLong));
+  EXPECT_TRUE(check_smr_agreement(survivors).linearizable);
+}
+
+TEST(SmrService, SequentialSubmissionsApplyInOrder) {
+  const auto fig = make_figure1();
+  smr_world w(fig.gqs, fault_plan::none(4), /*seed=*/4, /*keys=*/1);
+  std::vector<reg_version> versions;
+  std::function<void(int)> chain = [&](int i) {
+    if (i == 4) return;
+    w.nodes[kA]->submit_write(0, 200 + i, [&, i](reg_version v) {
+      versions.push_back(v);
+      chain(i + 1);
+    });
+  };
+  w.sim.post(kA, [&] { chain(0); });
+  ASSERT_TRUE(w.sim.run_until_condition(
+      [&] { return versions.size() == 4; }, kLong));
+  for (std::size_t i = 1; i < versions.size(); ++i)
+    EXPECT_LT(versions[i - 1], versions[i])
+        << "a single submitter's commands apply in submission order";
+  EXPECT_EQ(w.nodes[kA]->state_of(0).value, 203);
+  // The first command opened the log.
+  ASSERT_FALSE(w.nodes[kA]->log(0).empty());
+  ASSERT_TRUE(w.nodes[kA]->log(0)[0]);
+  EXPECT_EQ(w.nodes[kA]->log(0)[0]->front().value, 200);
 }
 
 TEST(SmrService, ShardsPartitionTheKeyspace) {
@@ -204,14 +344,16 @@ TEST(SmrService, TargetedPhasesMatchBroadcastWithFewerMessages) {
 }
 
 TEST(SmrService, EscalationRestoresLivenessUnderCrash) {
-  const auto gqs = threshold_quorum_system(4, 1);
+  const auto gqs = threshold_quorum_system(8, 2);
   const auto plan = plan_optimal(gqs);
   smr_options opts;
   opts.selector = std::make_shared<const quorum_selector>(plan.strategy, 7);
-  // Process 3 is crashed from the start; targeted rounds that sample it
-  // stall until the escalation broadcast brings in the live members.
-  auto faults = fault_plan::none(4);
-  faults.crash(3, 0);
+  // One Phase-2 round per command. Process 4 is crashed from the start, so
+  // a round whose sampled write quorum is {leader 0, 4, x} stalls until the
+  // escalation broadcast brings in the live members.
+  opts.max_batch = 1;
+  auto faults = fault_plan::none(8);
+  faults.crash(4, 0);
   smr_world w(gqs, std::move(faults), 12, /*keys=*/4, opts);
   submit_batch batch;
   batch.fire(w.sim, w.nodes[0], 0, 4, 20);
@@ -221,8 +363,9 @@ TEST(SmrService, EscalationRestoresLivenessUnderCrash) {
   for (const smr_service* r : w.nodes)
     escalations += r->counters().escalations;
   EXPECT_GT(escalations, 0u);
-  std::vector<const smr_service*> survivors = {w.nodes[0], w.nodes[1],
-                                               w.nodes[2]};
+  std::vector<const smr_service*> survivors;
+  for (process_id p = 0; p < 8; ++p)
+    if (p != 4) survivors.push_back(w.nodes[p]);
   EXPECT_TRUE(check_smr_agreement(survivors).linearizable);
 }
 
@@ -252,6 +395,112 @@ TEST(SmrService, PerShardPlansDecorrelateLeadersAndSelectors) {
   ASSERT_TRUE(w.sim.run_until_condition([&] { return batch.completed == 32; },
                                         kLong));
   EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
+}
+
+/// One smr_service driven by hand: sends are recorded, timers fire only
+/// when the test advances the clock, and the test injects every message.
+struct scripted_transport final : transport {
+  process_id me = 0;
+  process_id n = 0;
+  sim_time clock = 0;
+  std::vector<message_ptr> sent;
+  std::map<int, sim_time> timers;  // id -> deadline
+  int next_timer = 0;
+
+  void unicast(process_id, message_ptr m) override {
+    sent.push_back(std::move(m));
+  }
+  void broadcast(message_ptr m) override { sent.push_back(std::move(m)); }
+  int set_timer(sim_time delay) override {
+    timers[next_timer] = clock + delay;
+    return next_timer++;
+  }
+  process_id self() const override { return me; }
+  process_id size() const override { return n; }
+  sim_time now() const override { return clock; }
+
+  /// Fires every timer due by `to`, in deadline order.
+  void advance(component& c, sim_time to) {
+    for (;;) {
+      auto due = timers.end();
+      for (auto it = timers.begin(); it != timers.end(); ++it)
+        if (it->second <= to &&
+            (due == timers.end() || it->second < due->second))
+          due = it;
+      if (due == timers.end()) break;
+      const int id = due->first;
+      clock = due->second;
+      timers.erase(due);
+      c.on_timeout(id);
+    }
+    clock = to;
+  }
+
+  template <class M>
+  std::vector<const M*> sent_of() const {
+    std::vector<const M*> out;
+    for (const message_ptr& m : sent)
+      if (const auto* typed = message_cast<M>(m)) out.push_back(typed);
+    return out;
+  }
+};
+
+TEST(SmrService, NewLeaderCatchesUpToReportedFloorBeforeProposing) {
+  // n=4, reads of size 3, writes of size 2. Process 0 leads view 2. Its
+  // reporters 1 and 2 have applied slot 0, which their 1Bs therefore
+  // omit; process 0 has not learned it yet. Taking those reports at face
+  // value, slot 0 would look free and 0's next batch would overwrite it.
+  const auto gqs = threshold_quorum_system(4, 1);
+  smr_options opts;
+  opts.leaders = {3};  // leader(1) = 3, leader(2) = 0
+  smr_service svc(4, quorum_config::of(gqs), opts);
+  scripted_transport tr;
+  tr.n = 4;
+  svc.bind(tr);
+  svc.start();
+  ASSERT_EQ(tr.sent_of<smr_service::p1b_msg>().size(), 1u)
+      << "entering view 1 pushes a 1B to its leader";
+
+  // No activity from 3: the view-1 lease (200 ms) expires and 0 campaigns
+  // in view 2 (patience 250 ms, so it is still campaigning at 300 ms).
+  tr.advance(svc, 300000);
+  ASSERT_EQ(svc.view_of(0), 2u);
+  EXPECT_EQ(svc.counters().phase1_rounds, 1u);
+  std::optional<reg_version> installed;
+  svc.submit_write(1, 42, [&](reg_version v) { installed = v; });
+  tr.advance(svc, tr.clock);  // the flush
+
+  smr_service::p1b_report ahead;
+  ahead.view = 2;
+  ahead.floor = 1;
+  svc.deliver(1, make_message<smr_service::p1b_msg>(0, ahead));
+  svc.deliver(2, make_message<smr_service::p1b_msg>(0, ahead));
+  tr.advance(svc, tr.clock);
+  EXPECT_TRUE(tr.sent_of<smr_service::p2a_msg>().empty())
+      << "Phase 1 finished from reports ahead of the leader's prefix";
+
+  // The commit flood that taught the reporters slot 0 reaches 0 too.
+  smr_command chosen;
+  chosen.key = 1;
+  chosen.value = 7;
+  chosen.submitter = 3;
+  const auto entry = std::make_shared<const smr_entry>(smr_entry{chosen});
+  svc.deliver(3, make_message<smr_service::commit_msg>(0, 1, 0, entry));
+  tr.advance(svc, tr.clock);
+  ASSERT_EQ(svc.applied_prefix(0), 1u);
+  ASSERT_TRUE(svc.log(0)[0]);
+  EXPECT_EQ(*svc.log(0)[0], *entry);
+  const auto p2as = tr.sent_of<smr_service::p2a_msg>();
+  ASSERT_EQ(p2as.size(), 1u) << "Phase 1 completes once the prefix is in";
+  EXPECT_EQ(p2as[0]->view, 2u);
+  EXPECT_EQ(p2as[0]->slot, 1u) << "the new batch must not reuse slot 0";
+
+  // A write quorum {0, 1} accepts: the write applies after slot 0's.
+  svc.deliver(1, make_message<smr_service::p2b_msg>(0, 2, 1));
+  ASSERT_TRUE(installed.has_value());
+  EXPECT_EQ(svc.state_of(1).value, 42);
+  EXPECT_EQ(installed->number, 2u);
+  EXPECT_FALSE(svc.safety_violation().has_value());
 }
 
 TEST(SmrService, OptionValidationRejectsBadConfigs) {
