@@ -1,6 +1,5 @@
 // Tests for the sharded, pipelined SMR service (smr/smr_service.hpp):
-// commit and convergence over Figure-1 and threshold systems, liveness
-// within U_f under every Figure-1 failure pattern (the pushed 1B), Phase-1
+// commit and convergence over Figure-1 and threshold systems, Phase-1
 // recovery when a report's applied prefix runs ahead of the new leader,
 // command forwarding, batching, sharding, lease-driven leader re-election
 // after a crash, retry-based exactly-once application, and
@@ -8,7 +7,6 @@
 // escalation as the liveness fallback).
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -84,54 +82,6 @@ TEST(SmrService, CommitsAndConvergesOnFigure1) {
       EXPECT_EQ(r->state_of(k), w.nodes[0]->state_of(k)) << "key " << k;
 }
 
-TEST(SmrService, UfMembersCommitUnderEveryFigure1Pattern) {
-  // Under every pattern some read-quorum member has no channel from the
-  // leader (under f1, nothing reaches c at all): Phase 1 is live only
-  // because every process pushes its 1B on entering a view.
-  const auto fig = make_figure1();
-  for (std::size_t i = 0; i < fig.gqs.fps.size(); ++i) {
-    SCOPED_TRACE("failure pattern f" + std::to_string(i + 1));
-    const auto& f = fig.gqs.fps[i];
-    const process_set u_f = compute_u_f(fig.gqs, f);
-    ASSERT_GT(u_f.size(), 1) << "pattern leaves no contention to test";
-    smr_world w(fig.gqs, fault_plan::from_pattern(f, 0), /*seed=*/31 + i,
-                /*keys=*/4);
-    // Two rounds of concurrent submissions by the U_f members; the second
-    // round must extend the first round's prefix without disturbing it.
-    std::map<process_id, submit_batch> first, second;
-    for (const process_id p : u_f) {
-      first[p].fire(w.sim, w.nodes[p], p, 4, 10);
-      second[p].fire(w.sim, w.nodes[p], p, 4, 10, /*at=*/30L * 1000 * 1000);
-    }
-    ASSERT_TRUE(w.sim.run_until_condition(
-        [&] {
-          for (const process_id p : u_f)
-            if (first[p].completed != 10 || second[p].completed != 10)
-              return false;
-          return true;
-        },
-        kLong));
-    const std::uint64_t total = 20 * static_cast<std::uint64_t>(u_f.size());
-    ASSERT_TRUE(w.sim.run_until_condition(
-        [&] {
-          for (const process_id p : u_f)
-            if (w.nodes[p]->counters().commands_applied < total) return false;
-          return true;
-        },
-        w.sim.now() + kLong));
-    // Exactly once at every U_f replica, over identical prefixes.
-    for (const process_id p : u_f) {
-      EXPECT_EQ(w.nodes[p]->counters().commands_applied, total)
-          << "replica " << p;
-      EXPECT_EQ(w.nodes[p]->applied_prefix(0),
-                w.nodes[u_f.first()]->applied_prefix(0));
-      for (service_key k = 0; k < 4; ++k)
-        EXPECT_EQ(w.nodes[p]->state_of(k), w.nodes[u_f.first()]->state_of(k));
-    }
-    EXPECT_TRUE(check_smr_agreement(w.replicas()).linearizable);
-  }
-}
-
 TEST(SmrService, IsolatedReplicaLearnsNothingUnderF1) {
   const auto fig = make_figure1();
   smr_world w(fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0),
@@ -183,30 +133,6 @@ TEST(SmrService, ViewsReconvergeAfterAsynchronousPeriod) {
       },
       kLong));
   EXPECT_TRUE(check_smr_agreement(survivors).linearizable);
-}
-
-TEST(SmrService, SequentialSubmissionsApplyInOrder) {
-  const auto fig = make_figure1();
-  smr_world w(fig.gqs, fault_plan::none(4), /*seed=*/4, /*keys=*/1);
-  std::vector<reg_version> versions;
-  std::function<void(int)> chain = [&](int i) {
-    if (i == 4) return;
-    w.nodes[kA]->submit_write(0, 200 + i, [&, i](reg_version v) {
-      versions.push_back(v);
-      chain(i + 1);
-    });
-  };
-  w.sim.post(kA, [&] { chain(0); });
-  ASSERT_TRUE(w.sim.run_until_condition(
-      [&] { return versions.size() == 4; }, kLong));
-  for (std::size_t i = 1; i < versions.size(); ++i)
-    EXPECT_LT(versions[i - 1], versions[i])
-        << "a single submitter's commands apply in submission order";
-  EXPECT_EQ(w.nodes[kA]->state_of(0).value, 203);
-  // The first command opened the log.
-  ASSERT_FALSE(w.nodes[kA]->log(0).empty());
-  ASSERT_TRUE(w.nodes[kA]->log(0)[0]);
-  EXPECT_EQ(w.nodes[kA]->log(0)[0]->front().value, 200);
 }
 
 TEST(SmrService, ShardsPartitionTheKeyspace) {
