@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -54,8 +53,6 @@ class quorum_cover_tracker {
     if (q) covered_ = true;
     return q;
   }
-
-  const process_set& responders() const noexcept { return responders_; }
 
  private:
   process_set responders_;
@@ -153,31 +150,11 @@ struct push_qaf_options {
   /// invariant under per-process offsets — the ablation uses an offset to
   /// widen the race that the set-confirmation wait closes.
   std::uint64_t initial_clock = 0;
-  /// Strategy-driven targeted access: when set, CLOCK_REQ/SET_REQ go only
-  /// to the members of a sampled write quorum (one direct message each)
-  /// instead of to all n processes, and responses return point-to-point.
-  /// Null keeps the seed broadcast behavior bit-for-bit.
-  selector_ptr selector;
-  /// With a selector: how long an operation waits for its targeted quorum
-  /// before escalating to a full broadcast (restoring the seed path, so
-  /// liveness under F is unchanged). 0 disables escalation — ONLY for the
-  /// mutation tests; a disabled fallback can hang an operation whose
-  /// sampled quorum the failure pattern disconnects.
-  sim_time escalation_timeout = 40000;  // 40 ms
 
   void validate() const {
     if (gossip_period <= 0)
       throw std::invalid_argument("push_qaf: bad gossip period");
-    if (escalation_timeout < 0)
-      throw std::invalid_argument("push_qaf: bad escalation timeout");
   }
-};
-
-/// Targeted-access accounting of one push_qaf instance.
-struct push_qaf_counters {
-  std::uint64_t targeted_gets = 0;
-  std::uint64_t targeted_sets = 0;
-  std::uint64_t escalations = 0;
 };
 
 /// A sampled quorum only makes progress if acks from all its members
@@ -211,8 +188,6 @@ class push_qaf : public quorum_access<S> {
         clock_(options.initial_clock) {
     config_.validate();
     options_.validate();
-    if (options_.selector)
-      check_selector_covers(*options_.selector, config_.writes);
   }
 
   // Figure 3, lines 3-9.
@@ -221,14 +196,7 @@ class push_qaf : public quorum_access<S> {
     auto& pending = gets_[seq];
     pending.done = std::move(done);
     if (options_.use_get_cutoff) {
-      if (options_.selector) {
-        ++counters_.targeted_gets;
-        this->multicast(options_.selector->sample_write(this->id(), seq),
-                        make_message<clock_req>(seq));
-        arm_escalation(/*is_get=*/true, seq);
-      } else {
-        this->broadcast(make_message<clock_req>(seq));
-      }
+      this->broadcast(make_message<clock_req>(seq));
     } else {
       pending.have_cutoff = true;  // c_get = 0: any gossip qualifies
       recheck_waits();
@@ -238,32 +206,18 @@ class push_qaf : public quorum_access<S> {
   // Figure 3, lines 15-20.
   void quorum_set(update_fn u, set_callback done) override {
     const std::uint64_t seq = ++seq_;
-    auto& pending = sets_[seq];
-    pending.done = std::move(done);
-    message_ptr req = make_message<set_req>(seq, std::move(u));
-    if (options_.selector) {
-      ++counters_.targeted_sets;
-      pending.wire = req;  // kept for a possible escalation rebroadcast
-      this->multicast(options_.selector->sample_write(this->id(), seq),
-                      std::move(req));
-      arm_escalation(/*is_get=*/false, seq);
-    } else {
-      this->broadcast(std::move(req));
-    }
+    sets_[seq].done = std::move(done);
+    this->broadcast(make_message<set_req>(seq, std::move(u)));
   }
 
   const S& local_state() const override { return state_; }
   std::uint64_t logical_clock() const noexcept { return clock_; }
-  const push_qaf_counters& counters() const noexcept { return counters_; }
 
  protected:
   void start() override { arm_gossip_timer(); }
 
   void on_timeout(int timer_id) override {
-    if (timer_id != gossip_timer_) {
-      escalate(timer_id);
-      return;
-    }
+    if (timer_id != gossip_timer_) return;
     // Figure 3, lines 12-14: advance the clock and push state unprompted.
     ++clock_;
     this->broadcast(make_message<gossip>(state_, clock_));
@@ -272,31 +226,18 @@ class push_qaf : public quorum_access<S> {
 
   void deliver(process_id origin, const message_ptr& payload) override {
     if (const auto* m = message_cast<gossip>(payload)) {
-      // Targeted mode: Lamport-merge the clock. Only sampled members tick
-      // per SET_REQ, so clock rates diverge and a cold process would trail
-      // hot cutoffs by many gossip periods, stalling freshness waits.
-      // Sound because a member's SET ack clock still strictly exceeds
-      // every clock it gossiped before applying (see quorum_service.hpp's
-      // sync_clock for the full argument); broadcast mode is untouched.
-      if (options_.selector && clock_ < m->clock) clock_ = m->clock;
       cache_.observe(origin, m->state, m->clock);
       recheck_waits();
     } else if (const auto* m = message_cast<clock_req>(payload)) {
       // Figure 3, lines 10-11.
-      reply(origin, make_message<clock_resp>(m->seq, clock_));
+      this->unicast(origin, make_message<clock_resp>(m->seq, clock_));
     } else if (const auto* m = message_cast<clock_resp>(payload)) {
       on_clock_resp(origin, *m);
     } else if (const auto* m = message_cast<set_req>(payload)) {
-      // Figure 3, lines 21-24. Under targeted access the same SET_REQ can
-      // arrive twice (direct message, then the escalated broadcast —
-      // direct messages bypass the flooding dedup) and u need not be
-      // idempotent: apply once, but re-ack so the writer still learns the
-      // incorporation clock whichever copy survived.
-      if (mark_set_applied(origin, m->seq)) {
-        state_ = m->update(state_);
-        ++clock_;
-      }
-      reply(origin, make_message<set_resp>(m->seq, clock_));
+      // Figure 3, lines 21-24.
+      state_ = m->update(state_);
+      ++clock_;
+      this->unicast(origin, make_message<set_resp>(m->seq, clock_));
     } else if (const auto* m = message_cast<set_resp>(payload)) {
       on_set_resp(origin, *m);
     }
@@ -347,72 +288,10 @@ class push_qaf : public quorum_access<S> {
     bool have_cutoff = false;
     std::uint64_t c_set = 0;
     quorum_response_collector<std::uint64_t> set_resps;
-    message_ptr wire;  // targeted mode: kept for escalation rebroadcast
   };
 
   void arm_gossip_timer() {
     gossip_timer_ = this->set_timer(options_.gossip_period);
-  }
-
-  /// Point-to-point response: direct when targeted access is on (one
-  /// physical message over an up channel, flooded around a downed one),
-  /// the seed's flooded unicast otherwise.
-  void reply(process_id origin, message_ptr m) {
-    if (options_.selector)
-      this->multicast(process_set::singleton(origin), std::move(m));
-    else
-      this->unicast(origin, std::move(m));
-  }
-
-  /// Applies at most once per (origin, seq); only targeted mode can see
-  /// duplicates, so the tracking is skipped entirely without a selector.
-  /// Bounded: a seq can arrive at most twice (the direct copy and the one
-  /// escalation rebroadcast — the escalation entry is consumed when it
-  /// fires), so an entry is dropped the moment its duplicate shows up;
-  /// and since the rebroadcast trails the original by escalation_timeout
-  /// plus one delay bound, entries more than kAppliedWindow seqs behind
-  /// the origin's newest are pruned — no realistic run issues that many
-  /// operations inside one escalation window.
-  bool mark_set_applied(process_id origin, std::uint64_t seq) {
-    if (!options_.selector) return true;
-    auto& seen = applied_sets_[origin];
-    const auto [it, fresh] = seen.insert(seq);
-    if (!fresh) {
-      seen.erase(it);  // second and final copy: the entry is spent
-      return false;
-    }
-    if (seq > kAppliedWindow)
-      seen.erase(seen.begin(), seen.lower_bound(seq - kAppliedWindow));
-    return true;
-  }
-
-  static constexpr std::uint64_t kAppliedWindow = 1 << 16;
-
-  void arm_escalation(bool is_get, std::uint64_t seq) {
-    if (options_.escalation_timeout <= 0) return;  // mutation switch
-    escalations_[this->set_timer(options_.escalation_timeout)] = {is_get,
-                                                                  seq};
-  }
-
-  /// A targeted operation ran out of patience: fall back to the seed's
-  /// full broadcast, which reaches every process the flooding layer can —
-  /// liveness under F is therefore exactly the broadcast protocol's.
-  void escalate(int timer_id) {
-    const auto it = escalations_.find(timer_id);
-    if (it == escalations_.end()) return;
-    const auto [is_get, seq] = it->second;
-    escalations_.erase(it);
-    if (is_get) {
-      const auto get = gets_.find(seq);
-      if (get == gets_.end() || get->second.have_cutoff) return;
-      ++counters_.escalations;
-      this->broadcast(make_message<clock_req>(seq));
-    } else {
-      const auto set = sets_.find(seq);
-      if (set == sets_.end() || set->second.have_cutoff) return;
-      ++counters_.escalations;
-      this->broadcast(set->second.wire);
-    }
   }
 
   void on_clock_resp(process_id from, const clock_resp& m) {
@@ -487,10 +366,6 @@ class push_qaf : public quorum_access<S> {
   gossip_cache<S> cache_;
   std::map<std::uint64_t, pending_get> gets_;
   std::map<std::uint64_t, pending_set> sets_;
-  // ---- targeted-access state (empty without a selector) ----
-  push_qaf_counters counters_;
-  std::map<int, std::pair<bool, std::uint64_t>> escalations_;  // timer → op
-  std::map<process_id, std::set<std::uint64_t>> applied_sets_;
 };
 
 }  // namespace gqs

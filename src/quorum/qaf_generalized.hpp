@@ -35,20 +35,15 @@
 
 namespace gqs {
 
+/// The published protocol's only knob. A struct of its own, rather than
+/// push_qaf_options, so that both clock waits stay on by construction.
 struct generalized_qaf_options {
   /// Period of the unsolicited state/clock propagation (Figure 3 line 12).
   sim_time gossip_period = 5000;  // 5 ms
-  /// Strategy-driven targeted access (strategy/selector.hpp): CLOCK_REQ /
-  /// SET_REQ go only to a sampled write quorum, with timeout escalation
-  /// back to broadcast. Null = the published broadcast protocol.
-  selector_ptr selector;
-  sim_time escalation_timeout = 40000;  // 40 ms; see push_qaf_options
 
   void validate() const {
     if (gossip_period <= 0)
       throw std::invalid_argument("generalized_qaf: bad gossip period");
-    if (escalation_timeout < 0)
-      throw std::invalid_argument("generalized_qaf: bad escalation timeout");
   }
 };
 
@@ -61,12 +56,10 @@ class generalized_qaf : public push_qaf<S> {
                     to_core(options)) {}
 
  private:
-  static push_qaf_options to_core(generalized_qaf_options o) {
+  static push_qaf_options to_core(const generalized_qaf_options& o) {
     o.validate();
     push_qaf_options core;
     core.gossip_period = o.gossip_period;
-    core.selector = std::move(o.selector);
-    core.escalation_timeout = o.escalation_timeout;
     return core;  // both waits on, clock starts at 0: Figure 3 verbatim
   }
 };

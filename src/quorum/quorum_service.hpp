@@ -78,7 +78,8 @@ struct service_options {
   /// With a selector: delay before a flush group that still lacks write-
   /// quorum coverage is rebroadcast to all (restoring the seed path, so
   /// liveness under F is unchanged). 0 disables escalation — ONLY for the
-  /// mutation tests; see push_qaf_options::escalation_timeout.
+  /// mutation tests: with no fallback, a flush group whose sampled quorum
+  /// the failure pattern disconnects hangs forever.
   sim_time escalation_timeout = 40000;  // 40 ms
 
   void validate() const;
@@ -380,7 +381,8 @@ class quorum_service : public component {
     if (const auto* m = message_cast<gossip_msg>(payload)) {
       on_gossip(origin, *m);
     } else if (const auto* m = message_cast<probe_msg>(payload)) {
-      reply(origin, make_message<probe_ack_msg>(m->req, clock_));
+      this->reply(origin, make_message<probe_ack_msg>(m->req, clock_),
+                  options_.selector != nullptr);
     } else if (const auto* m = message_cast<probe_ack_msg>(payload)) {
       on_probe_ack(origin, *m);
     } else if (const auto* m = message_cast<set_batch_msg>(payload)) {
@@ -445,7 +447,9 @@ class quorum_service : public component {
       bridge("svc.flushes", &c->flushes);
       bridge("svc.probes_sent", &c->probes_sent);
       bridge("svc.set_batches_sent", &c->set_batches_sent);
+      bridge("svc.set_entries_sent", &c->set_entries_sent);
       bridge("svc.gossip_batches_sent", &c->gossip_batches_sent);
+      bridge("svc.gossip_entries_sent", &c->gossip_entries_sent);
       bridge("svc.nacks_sent", &c->nacks_sent);
       bridge("svc.repairs_sent", &c->repairs_sent);
       bridge("svc.targeted_probes", &c->targeted_probes);
@@ -602,15 +606,6 @@ class quorum_service : public component {
     }
   }
 
-  /// Point-to-point ack: direct when targeted access is on, the seed's
-  /// flooded unicast otherwise.
-  void reply(process_id origin, message_ptr m) {
-    if (options_.selector)
-      this->multicast(process_set::singleton(origin), std::move(m));
-    else
-      this->unicast(origin, std::move(m));
-  }
-
   void gossip_tick() {
     // Figure 3 lines 12-14, batched: advance the shared clock once and
     // push every key dirtied since the previous tick.
@@ -713,7 +708,8 @@ class quorum_service : public component {
         mark_changed(e.key);
       }
     }
-    reply(origin, make_message<set_ack_msg>(m.batch, clock_));
+    this->reply(origin, make_message<set_ack_msg>(m.batch, clock_),
+                options_.selector != nullptr);
   }
 
   void on_set_ack(process_id from, const set_ack_msg& m) {

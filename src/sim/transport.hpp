@@ -70,6 +70,14 @@ class component {
   void multicast(process_set dests, message_ptr m) {
     tr().multicast(dests, std::move(m));
   }
+  /// Point-to-point response: one direct message under targeted access,
+  /// the flooded unicast otherwise.
+  void reply(process_id dest, message_ptr m, bool targeted) {
+    if (targeted)
+      multicast(process_set::singleton(dest), std::move(m));
+    else
+      unicast(dest, std::move(m));
+  }
   int set_timer(sim_time delay) { return tr().set_timer(delay); }
 
   /// Null-safe observability accessor (nullptr before bind() too).

@@ -36,11 +36,8 @@ smr_service::smr_service(service_key keys, quorum_config config,
   if (keys_ == 0) throw std::invalid_argument("smr_service: no keys");
   config_.validate();
   options_.validate();
-  for (std::size_t s = 0; s < options_.shards; ++s) {
-    if (const selector_ptr sel = selector_for(s))
-      check_selector_covers(*sel, config_.writes);
-    if (options_.shard_selectors.empty()) break;  // one shared selector
-  }
+  for (const selector_ptr& sel : options_.shard_selectors)
+    if (sel) check_selector_covers(*sel, config_.writes);
   shards_.resize(options_.shards);
   states_.resize(keys_);
   write_counts_.resize(keys_, 0);
@@ -234,7 +231,8 @@ void smr_service::enter_view(std::uint32_t shard, std::uint64_t view) {
   if (leader == id())
     begin_phase1(shard);
   else
-    reply(shard, leader, make_message<p1b_msg>(shard, make_report(ss)));
+    reply(leader, make_message<p1b_msg>(shard, make_report(ss)),
+          selector_for(shard) != nullptr);
 }
 
 void smr_service::step_down(std::uint32_t shard) {
@@ -497,7 +495,7 @@ void smr_service::begin_phase2(std::uint32_t shard, std::uint64_t slot,
   round.wire = wire;
   auto [it, fresh] = ss.inflight.insert_or_assign(slot, std::move(round));
   (void)fresh;
-  if (const selector_ptr sel = selector_for(shard)) {
+  if (selector_for(shard)) {
     ++counters_.targeted_phase2;
     process_set targets = sample_targets(shard);
     targets.erase(id());  // accepted locally above
@@ -670,7 +668,8 @@ void smr_service::on_p2a(process_id origin, const p2a_msg& m) {
   const auto acc = ss.accepted.find(m.slot);
   if (acc == ss.accepted.end() || acc->second.aview <= m.view)
     ss.accepted[m.slot] = accepted_rec<smr_entry_ptr>{m.view, m.entry};
-  reply(m.shard, origin, make_message<p2b_msg>(m.shard, m.view, m.slot));
+  reply(origin, make_message<p2b_msg>(m.shard, m.view, m.slot),
+        selector_for(m.shard) != nullptr);
 }
 
 void smr_service::on_p2b(process_id origin, const p2b_msg& m) {
@@ -728,16 +727,6 @@ void smr_service::escalate(const timer_ref& ref) {
                   now());
   }
   broadcast(it->second.wire);
-}
-
-/// Point-to-point response: one direct message in targeted mode, the
-/// seed's flooded unicast otherwise (mirrors the engine's reply()).
-void smr_service::reply(std::uint32_t shard, process_id origin,
-                        message_ptr m) {
-  if (selector_for(shard))
-    multicast(process_set::singleton(origin), std::move(m));
-  else
-    unicast(origin, std::move(m));
 }
 
 // ---------------------------------------------------------------------------

@@ -111,10 +111,9 @@ struct smr_options {
   /// write-quorum coverage falls back to full broadcast. 0 disables
   /// escalation — ONLY for mutation tests.
   sim_time escalation_timeout = 40000; // 40 ms
-  /// Strategy-targeted Phase-2 quorums; null keeps full broadcast.
-  selector_ptr selector;
-  /// Per-shard selectors (strategy/shard_plan.hpp); overrides `selector`
-  /// when non-empty (must then have one entry per shard).
+  /// Strategy-targeted Phase-2 quorums (strategy/shard_plan.hpp): empty,
+  /// or one selector per shard. Empty or a null entry keeps full
+  /// broadcast.
   std::vector<selector_ptr> shard_selectors;
   /// Initial (view-1) leader per shard; defaults to shard mod n.
   std::vector<process_id> leaders;
@@ -353,9 +352,8 @@ class smr_service : public component {
   const shard_state& shard_at(std::size_t shard) const;
 
   selector_ptr selector_for(std::size_t shard) const {
-    if (!options_.shard_selectors.empty())
-      return options_.shard_selectors[shard];
-    return options_.selector;
+    return options_.shard_selectors.empty() ? nullptr
+                                            : options_.shard_selectors[shard];
   }
 
   sim_time lease_patience(const shard_state& ss) const {
@@ -404,7 +402,6 @@ class smr_service : public component {
   process_set sample_targets(std::uint32_t shard);
   void arm_escalation(std::uint32_t shard, std::uint64_t slot);
   void escalate(const timer_ref& ref);
-  void reply(std::uint32_t shard, process_id origin, message_ptr m);
   void retry_tick();
 
   /// Binds counters/gauges/probes onto the host's observability surface

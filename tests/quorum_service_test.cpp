@@ -1,8 +1,9 @@
 // Tests for the multi-object quorum service: engine mechanics (batching,
-// shared gossip, stream freshness, NACK repair), the keyed register built
-// on it, per-key linearizability of multi-key traces under failures, and
-// the mutation check that a deliberately stale read (ablated get cutoff)
-// is caught by the Wing–Gong checker.
+// shared gossip, stream freshness, NACK repair, telemetry counter
+// bridges), the keyed register built on it, per-key linearizability of
+// multi-key traces under failures, and the mutation check that a
+// deliberately stale read (ablated get cutoff) is caught by the Wing–Gong
+// checker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,6 +149,40 @@ TEST(QuorumService, GossipCarriesOnlyDirtyKeys) {
     // idle 64-key service must NOT broadcast 64 entries per period.
     EXPECT_LE(c.gossip_entries_sent, 4u) << "process " << p;
   }
+}
+
+TEST(QuorumService, TelemetryBridgesSumCountersAcrossNodes) {
+  // Every svc.* registry counter is the sum over processes of the
+  // matching counters() field.
+  const auto fig = make_figure1();
+  network_options net;
+  net.telemetry = true;
+  service_world w(8, fig.gqs, fault_plan::none(4), 4, {}, net);
+  for (service_key k = 0; k < 8; ++k) {
+    w.client.invoke_write(k % 4, k, 100 + static_cast<reg_value>(k));
+    w.client.invoke_read((k + 1) % 4, k);
+  }
+  ASSERT_TRUE(w.settle());
+  const auto obs = w.sim.obs().metrics.snapshot();
+  using field = std::uint64_t service_counters::*;
+#define GQS_SVC_FIELD(f) {"svc." #f, &service_counters::f}
+  const std::pair<const char*, field> bridged[] = {
+      GQS_SVC_FIELD(ops_started), GQS_SVC_FIELD(ops_completed),
+      GQS_SVC_FIELD(flushes), GQS_SVC_FIELD(probes_sent),
+      GQS_SVC_FIELD(set_batches_sent), GQS_SVC_FIELD(set_entries_sent),
+      GQS_SVC_FIELD(gossip_batches_sent), GQS_SVC_FIELD(gossip_entries_sent),
+      GQS_SVC_FIELD(nacks_sent), GQS_SVC_FIELD(repairs_sent),
+      GQS_SVC_FIELD(targeted_probes), GQS_SVC_FIELD(targeted_set_batches),
+      GQS_SVC_FIELD(escalations)};
+#undef GQS_SVC_FIELD
+  for (const auto& [name, cell] : bridged) {
+    std::uint64_t sum = 0;
+    for (const keyed_register_node* node : w.nodes)
+      sum += node->counters().*cell;
+    EXPECT_EQ(obs.counter_value(name), sum) << name;
+  }
+  EXPECT_GT(obs.counter_value("svc.set_entries_sent"), 0u);
+  EXPECT_GT(obs.counter_value("svc.gossip_entries_sent"), 0u);
 }
 
 TEST(QuorumService, ReplicasConvergeAndKeyClocksTrack) {

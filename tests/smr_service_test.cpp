@@ -248,7 +248,7 @@ TEST(SmrService, TargetedPhasesMatchBroadcastWithFewerMessages) {
   const auto plan = plan_optimal(gqs);
   auto run = [&](selector_ptr selector) {
     smr_options opts;
-    opts.selector = std::move(selector);
+    opts.shard_selectors = {std::move(selector)};  // null: broadcast
     smr_world w(gqs, fault_plan::none(8), 11, /*keys=*/8, opts);
     submit_batch batch;
     batch.fire(w.sim, w.nodes[2], 2, 8, 40);
@@ -273,7 +273,8 @@ TEST(SmrService, EscalationRestoresLivenessUnderCrash) {
   const auto gqs = threshold_quorum_system(8, 2);
   const auto plan = plan_optimal(gqs);
   smr_options opts;
-  opts.selector = std::make_shared<const quorum_selector>(plan.strategy, 7);
+  opts.shard_selectors = {
+      std::make_shared<const quorum_selector>(plan.strategy, 7)};
   // One Phase-2 round per command. Process 4 is crashed from the start, so
   // a round whose sampled write quorum is {leader 0, 4, x} stalls until the
   // escalation broadcast brings in the live members.
@@ -443,6 +444,9 @@ TEST(SmrService, OptionValidationRejectsBadConfigs) {
   EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
   bad = {};
   bad.leaders = {0, 1};  // two leaders for one shard
+  EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
+  bad = {};
+  bad.shard_selectors = {nullptr, nullptr};  // two selectors for one shard
   EXPECT_THROW(smr_service(4, config, bad), std::invalid_argument);
   EXPECT_THROW(smr_service(0, config, {}), std::invalid_argument);
 }

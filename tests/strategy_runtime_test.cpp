@@ -1,9 +1,10 @@
 // strategy_runtime_test — targeted (non-broadcast) quorum access: the
-// selector-driven fast path of quorum_service and push_qaf must preserve
-// client-visible results while spending far fewer messages, and the
-// timeout escalation must restore the broadcast path's liveness when the
-// sampled quorum is disconnected mid-operation (with a mutation check
-// that *disabling* escalation hangs the operation).
+// selector-driven fast path of quorum_service must preserve client-visible
+// results while spending far fewer messages, and the timeout escalation
+// must restore the broadcast path's liveness when the sampled quorum is
+// disconnected mid-operation (with a mutation check that *disabling*
+// escalation hangs the operation). The SMR's targeted Phase 2 is covered
+// in smr_service_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,8 @@
 
 #include "core/factories.hpp"
 #include "lincheck/dependency_graph.hpp"
-#include "register/atomic_register.hpp"
 #include "register/keyed_register.hpp"
+#include "smr/smr_service.hpp"
 #include "strategy/planner.hpp"
 #include "strategy/selector.hpp"
 #include "workload/clients.hpp"
@@ -143,10 +144,9 @@ TEST(TargetedService, RejectsSelectorThatCoversNoWriteQuorum) {
   EXPECT_THROW(
       keyed_register_node(4, quorum_config::of(fig.gqs), svc),
       std::invalid_argument);
-  generalized_qaf_options qaf;
-  qaf.selector = mismatched;
-  EXPECT_THROW(atomic_register<generalized_qaf<reg_state>>(
-                   quorum_config::of(fig.gqs), reg_state{}, qaf),
+  smr_options smr;
+  smr.shard_selectors = {mismatched};
+  EXPECT_THROW(smr_service(4, quorum_config::of(fig.gqs), smr),
                std::invalid_argument);
 }
 
@@ -181,7 +181,6 @@ TEST(TargetedService, RealizedLoadTracksPlannerPrediction) {
 /// channels (c,a), (a,b), (b,a) stay reliable) from `at` on, with every
 /// operation targeting W3 = {c, d} — a quorum f1 makes unreachable from a.
 struct escalation_world {
-  figure1_system fig = make_figure1();
   component_world<keyed_register_node> world;
   register_history history;
 
@@ -273,67 +272,6 @@ TEST(Escalation, MutationDisablingEscalationHangs) {
   EXPECT_FALSE(done) << "without escalation the op must hang";
   EXPECT_FALSE(w.history.empty());
   EXPECT_FALSE(w.history[0].complete());
-}
-
-// ---- the push_qaf (single-object Figure 3) targeted path ----
-
-using targeted_register = atomic_register<generalized_qaf<reg_state>>;
-
-std::uint64_t run_register_roundtrip(selector_ptr selector,
-                                     sim_time escalation_timeout,
-                                     bool expect_done, fault_plan faults,
-                                     std::uint64_t* escalations = nullptr) {
-  const auto fig = make_figure1();
-  generalized_qaf_options options;
-  options.selector = std::move(selector);
-  options.escalation_timeout = escalation_timeout;
-  component_world<targeted_register> world(
-      4, std::move(faults), 21, network_options{},
-      quorum_config::of(fig.gqs), reg_state{}, options);
-
-  bool done = false;
-  reg_value read_back = 0;
-  world.sim.post(kA, [&] {
-    world.nodes[kA]->write(41, [&](reg_version) {
-      world.nodes[kA]->read([&](reg_value v, reg_version) {
-        read_back = v;
-        done = true;
-      });
-    });
-  });
-  const bool finished =
-      world.sim.run_until_condition([&] { return done; }, 10'000'000);
-  EXPECT_EQ(finished, expect_done);
-  if (expect_done) {
-    EXPECT_EQ(read_back, 41);
-  }
-  if (escalations) {
-    *escalations = 0;
-    for (const targeted_register* node : world.nodes)
-      *escalations += node->counters().escalations;
-  }
-  return world.sim.metrics().messages_sent;
-}
-
-TEST(TargetedPushQaf, FewerMessagesSameResult) {
-  const auto fig = make_figure1();
-  const std::uint64_t broadcast = run_register_roundtrip(
-      nullptr, 40000, true, fault_plan::none(4));
-  const std::uint64_t targeted = run_register_roundtrip(
-      optimal_selector(fig.gqs, 23), 40000, true, fault_plan::none(4));
-  EXPECT_LT(targeted, broadcast);
-}
-
-TEST(TargetedPushQaf, EscalatesAndHangsUnderMutation) {
-  const auto fig = make_figure1();
-  const fault_plan f1 = fault_plan::from_pattern(fig.gqs.fps[0], 0);
-  std::uint64_t escalations = 0;
-  run_register_roundtrip(pure_selector(fig.gqs, process_set{kC, kD}), 40000,
-                         true, f1, &escalations);
-  EXPECT_GE(escalations, 1u);
-  // Mutation: no escalation — the same roundtrip never completes.
-  run_register_roundtrip(pure_selector(fig.gqs, process_set{kC, kD}), 0,
-                         false, f1);
 }
 
 }  // namespace
