@@ -25,9 +25,14 @@
 //     flight; completions resolve in operation order.
 //
 // Correctness is the Figure 3 argument applied per key. The shared engine
-// clock ticks once per gossip period and once per applied SET entry; it is
-// a valid Figure 3 clock for every key (the protocol is invariant under
-// per-process clock offsets and extra advancement — see qaf_ablation.hpp).
+// clock ticks only at gossip, once per period, so every process's clock
+// advances at the same rate. A SET ack names the clock of the *next*
+// gossip (clock + 1), which is sent after the apply and carries every key
+// the batch dirtied; gossip clocks strictly increase, so "gossip clock ≥
+// ack clock ⇒ sent after the write was applied" — the Figure 3 freshness
+// invariant — holds for every key (push_qaf keeps Figure 3's per-SET tick
+// verbatim as the oracle; per-process clock offsets do not break safety —
+// see qaf_ablation.hpp).
 // Freshness transfers from gossip to cached per-key states through
 // *contiguous* gossip stream processing: states merge eagerly (they are
 // version-monotone), but a process's freshness clock for an origin only
@@ -249,8 +254,8 @@ class quorum_service : public component {
   service_key key_count() const noexcept { return keys_; }
   std::uint64_t engine_clock() const noexcept { return clock_; }
 
-  /// Per-key logical clock: the engine-clock instant of the key's last
-  /// local change (0 = never changed here).
+  /// Per-key logical clock: the clock of the gossip that first carries the
+  /// key's last local change (0 = never changed here).
   std::uint64_t key_clock(service_key key) const {
     check_key(key);
     return key_clock_[key];
@@ -316,7 +321,7 @@ class quorum_service : public component {
   };
   struct set_ack_msg : message {
     std::uint64_t batch;
-    std::uint64_t clock;  // engine clock after applying the whole batch
+    std::uint64_t clock;  // clock of the first gossip after the batch
     set_ack_msg(std::uint64_t b, std::uint64_t c) : batch(b), clock(c) {}
     std::string debug_name() const override { return "SVC_SET_RESP"; }
     std::size_t wire_size() const override { return 24; }
@@ -645,7 +650,9 @@ class quorum_service : public component {
   }
 
   void mark_changed(service_key key) {
-    key_clock_[key] = clock_;
+    // The next gossip (clock_ + 1) is the first to carry this change; the
+    // repair filter `key_clock_[k] > floor` relies on it.
+    key_clock_[key] = clock_ + 1;
     if (!dirty_flag_[key]) {
       dirty_flag_[key] = 1;
       dirty_keys_.push_back(key);
@@ -660,29 +667,13 @@ class quorum_service : public component {
   }
 
   void on_gossip(process_id origin, const gossip_msg& m) {
-    sync_clock(m.clock);
     for (const gossip_entry& e : m.entries.items()) apply_entry(origin, e);
     if (streams_[origin].observe(m.gseq, m.clock)) recheck_waits();
   }
 
   void on_repair(process_id origin, const repair_msg& m) {
-    sync_clock(m.clock);
     for (const gossip_entry& e : m.entries) apply_entry(origin, e);
     if (streams_[origin].repair(m.upto_seq, m.clock)) recheck_waits();
-  }
-
-  /// Targeted mode: Lamport-merge the engine clock with gossiped clocks.
-  /// Under targeting only sampled members tick per SET entry, so clock
-  /// *rates* diverge — an untargeted process advancing one clock per
-  /// gossip period would trail a hot member's cutoff by many periods and
-  /// stall every freshness wait behind it. Merging bounds the divergence
-  /// to about one period. Sound: a member's SET ack clock still strictly
-  /// exceeds every clock it gossiped before applying (the apply bumps the
-  /// clock before the ack), so "gossip clock ≥ cutoff ⇒ sent after the
-  /// write was applied" — the Figure 3 freshness invariant — survives.
-  /// Broadcast mode keeps the seed's untouched clocks bit-for-bit.
-  void sync_clock(std::uint64_t seen) {
-    if (options_.selector && clock_ < seen) clock_ = seen;
   }
 
   void on_probe_ack(process_id from, const probe_ack_msg& m) {
@@ -698,17 +689,16 @@ class quorum_service : public component {
   }
 
   void on_set_batch(process_id origin, const set_batch_msg& m) {
-    // Lines 21-24 per entry: apply iff newer, advance the shared clock per
-    // entry (mirroring the per-object protocol's one tick per SET_REQ).
+    // Lines 21-24 per entry: apply iff newer. The ack names the clock of
+    // the next gossip, the first sent after these applies.
     for (const set_entry& e : m.entries.items()) {
-      ++clock_;
       if (e.key >= keys_) continue;
       if (e.state.version > states_[e.key].version) {
         states_[e.key] = e.state;
         mark_changed(e.key);
       }
     }
-    this->reply(origin, make_message<set_ack_msg>(m.batch, clock_),
+    this->reply(origin, make_message<set_ack_msg>(m.batch, clock_ + 1),
                 options_.selector != nullptr);
   }
 

@@ -117,6 +117,22 @@ TEST(QuorumService, SingleKeyRoundTrip) {
             (reg_version{1, 0}));
 }
 
+TEST(QuorumService, SetAckNamesTheNextGossipClock) {
+  // A SET ack must name the clock of the *next* gossip, the first sent
+  // after the apply. With a 50 ms period the write completes inside one
+  // period; an ack naming the current clock would be met by gossip sent
+  // before the apply, and the read would return the initial value.
+  const auto fig = make_figure1();
+  service_options opts;
+  opts.gossip_period = 50000;
+  service_world w(4, fig.gqs, fault_plan::none(4), 1, opts);
+  w.client.invoke_write(0, 2, 42);
+  ASSERT_TRUE(w.settle());
+  const auto ri = w.client.invoke_read(1, 2);
+  ASSERT_TRUE(w.settle());
+  EXPECT_EQ(w.client.history().at(ri).op.value, 42);
+}
+
 TEST(QuorumService, OperationsCoalesceIntoSharedBatches) {
   const auto fig = make_figure1();
   service_world w(16, fig.gqs, fault_plan::none(4), 2);
@@ -255,6 +271,85 @@ TEST(QuorumService, PersistentGossipGapTriggersNack) {
   // the backlog drains.
   EXPECT_TRUE(sim.run_until_condition(
       [&] { return nodes[0]->gossip_backlog() == 0; }, 400000));
+}
+
+/// Records the keys of every repair batch delivered to its process.
+struct repair_recorder : component {
+  std::vector<std::vector<service_key>> repairs;
+  void deliver(process_id, const message_ptr& payload) override {
+    using repair_msg = quorum_service<reg_value>::repair_msg;
+    if (const auto* m = message_cast<repair_msg>(payload)) {
+      std::vector<service_key> keys;
+      for (const auto& e : m->entries) keys.push_back(e.key);
+      repairs.push_back(std::move(keys));
+    }
+  }
+};
+
+TEST(QuorumService, NackRepairCarriesKeysAppliedBeforeTheGap) {
+  // A key applied at t = 2 ms first rides gossip seq 1 (t = 5 ms). A NACK
+  // from seq 1 asks for every change since the stream began (repair floor
+  // 0), so the key's clock must exceed 0 even though the engine clock had
+  // not ticked yet when the key was applied.
+  const auto fig = make_figure1();
+  simulation sim(4, network_options{}, fault_plan::none(4), 7);
+  auto rec = std::make_unique<repair_recorder>();
+  repair_recorder* recorder = rec.get();
+  sim.set_node(0, std::make_unique<single_host>(std::move(rec)));
+  std::vector<open_register*> nodes;
+  for (process_id p = 1; p < 4; ++p) {
+    auto comp = std::make_unique<open_register>(4, quorum_config::of(fig.gqs),
+                                                service_options{});
+    nodes.push_back(comp.get());
+    sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
+  }
+  sim.start();
+  sim.run_until(0);
+  using service = quorum_service<reg_value>;
+  sim.post_after(1, 2000, [&] {
+    std::vector<service::set_entry> entries{
+        {1, 3, service::state_type{77, reg_version{1, 0}}}};
+    nodes[0]->deliver(0, make_message<service::set_batch_msg>(
+                             1, pooled_batch<service::set_entry>(
+                                    std::move(entries), nullptr)));
+  });
+  sim.post_after(1, 7000, [&] {
+    nodes[0]->deliver(0, make_message<service::nack_msg>(1));
+  });
+  ASSERT_TRUE(sim.run_until_condition(
+      [&] { return !recorder->repairs.empty(); }, 200000));
+  const auto& keys = recorder->repairs.front();
+  EXPECT_NE(std::find(keys.begin(), keys.end(), 3u), keys.end())
+      << "the repair must carry key 3";
+}
+
+// ---------- latency under the paper's failure pattern ----------
+
+TEST(QuorumService, UfLatencyStaysFlatUnderF1) {
+  // Under f1 the only live read quorum is {a, c}, and c hears no one: its
+  // clock advances only at its own gossip. Cutoffs taken from the write
+  // quorum {a, b} must not run ahead of c's clock write after write, or
+  // U_f latency grows without bound.
+  const auto fig = make_figure1();
+  service_world w(1, fig.gqs, fault_plan::from_pattern(fig.gqs.fps[0], 0),
+                  8);
+  for (int round = 0; round < 150; ++round) {
+    w.client.invoke_write(0, 0, round);
+    w.client.invoke_read(1, 0);
+    ASSERT_TRUE(w.settle()) << "round " << round;
+  }
+  const auto& h = w.client.history();
+  ASSERT_EQ(h.size(), 300u);
+  const auto latency = [&](std::size_t i) {
+    return *h[i].op.returned_at - h[i].op.invoked_at;
+  };
+  sim_time first = 0, last = 0;
+  for (std::size_t i = 0; i < 20; ++i) {
+    first = std::max(first, latency(i));
+    last = std::max(last, latency(h.size() - 1 - i));
+  }
+  EXPECT_LT(last, 100000) << "first-20 max " << first << " us, last-20 max "
+                          << last << " us";
 }
 
 // ---------- multi-key traces: per-key linearizability ----------
