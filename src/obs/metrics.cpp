@@ -1,142 +1,51 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
+#include <map>
 #include <sstream>
+#include <tuple>
 
 namespace gqs {
 
-// ---- log_histogram ----
-
-int log_histogram::bucket_index(std::uint64_t v) noexcept {
-  if (v < 4) return static_cast<int>(v);
-  const int octave = std::bit_width(v) - 1;      // >= 2
-  const int sub = static_cast<int>((v >> (octave - 2)) & 3);
-  return (octave - 1) * 4 + sub;                 // 4..255
-}
-
-std::uint64_t log_histogram::bucket_upper(int idx) noexcept {
-  if (idx < 4) return static_cast<std::uint64_t>(idx);
-  const int octave = (idx >> 2) + 1;
-  const int sub = idx & 3;
-  const std::uint64_t lo = (std::uint64_t{4} + sub) << (octave - 2);
-  return lo + ((std::uint64_t{1} << (octave - 2)) - 1);
-}
-
-void log_histogram::merge(const log_histogram& other) noexcept {
-  for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.count_ && other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-std::uint64_t log_histogram::percentile(double q) const noexcept {
-  if (count_ == 0) return 0;
-  const double clamped = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-  std::uint64_t target =
-      static_cast<std::uint64_t>(std::ceil(clamped * count_));
-  if (target == 0) target = 1;
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= target) {
-      const std::uint64_t rep = bucket_upper(i);
-      return std::min(std::max(rep, min()), max_);
-    }
-  }
-  return max_;
-}
-
 // ---- metrics_registry ----
 
-metrics_registry::counter_handle metrics_registry::get_counter(
-    const std::string& name, const std::string& label) {
-  counter_handle h;
-  if (!enabled_) return h;
-  const key k{metric_kind::counter, name, label};
-  auto [it, inserted] = index_.try_emplace(k, counter_cells_.size());
-  if (inserted) counter_cells_.push_back(0);
-  h.cell_ = &counter_cells_[it->second];
-  return h;
-}
-
-metrics_registry::gauge_handle metrics_registry::get_gauge(
-    const std::string& name, const std::string& label) {
-  gauge_handle h;
-  if (!enabled_) return h;
-  const key k{metric_kind::gauge, name, label};
-  auto [it, inserted] = index_.try_emplace(k, gauge_cells_.size());
-  if (inserted) gauge_cells_.push_back(0);
-  h.cell_ = &gauge_cells_[it->second];
-  return h;
-}
-
-metrics_registry::histogram_handle metrics_registry::get_histogram(
-    const std::string& name, const std::string& label) {
-  histogram_handle h;
-  if (!enabled_) return h;
-  const key k{metric_kind::histogram, name, label};
-  auto [it, inserted] = index_.try_emplace(k, histogram_cells_.size());
-  if (inserted) histogram_cells_.emplace_back();
-  h.cell_ = &histogram_cells_[it->second];
-  return h;
-}
-
-void metrics_registry::observe_counter(const std::string& name,
-                                       const std::string& label,
+void metrics_registry::observe_counter(std::string_view name,
+                                       std::string_view label,
                                        std::function<std::uint64_t()> fn) {
   if (!enabled_ || !fn) return;
-  observer ob;
-  ob.k = key{metric_kind::counter, name, label};
-  ob.counter_fn = std::move(fn);
-  observers_.push_back(std::move(ob));
+  observers_.push_back(observer{metric_kind::counter, std::string(name),
+                                std::string(label), gauge_fold::sum,
+                                std::move(fn), {}});
 }
 
-void metrics_registry::observe_gauge(const std::string& name,
-                                     const std::string& label,
-                                     std::function<std::int64_t()> fn) {
+void metrics_registry::observe_gauge(std::string_view name,
+                                     std::string_view label,
+                                     std::function<std::int64_t()> fn,
+                                     gauge_fold how) {
   if (!enabled_ || !fn) return;
-  observer ob;
-  ob.k = key{metric_kind::gauge, name, label};
-  ob.gauge_fn = std::move(fn);
-  observers_.push_back(std::move(ob));
+  observers_.push_back(observer{metric_kind::gauge, std::string(name),
+                                std::string(label), how, {}, std::move(fn)});
 }
 
 metrics_snapshot metrics_registry::snapshot() const {
-  // Ordered accumulation keyed like index_: registered cells first, then
-  // observers summed into matching keys. std::map iteration is already
-  // (kind, name, label)-sorted, so rows come out in canonical order.
-  std::map<key, metric_row> acc;
-  for (const auto& [k, idx] : index_) {
-    metric_row row;
-    row.kind = k.kind;
-    row.name = k.name;
-    row.label = k.label;
-    switch (k.kind) {
-      case metric_kind::counter:
-        row.value = counter_cells_[idx];
-        break;
-      case metric_kind::gauge:
-        row.level = gauge_cells_[idx];
-        break;
-      case metric_kind::histogram:
-        row.hist = histogram_cells_[idx];
-        break;
-    }
-    acc.emplace(k, std::move(row));
-  }
+  // std::map iteration is already (kind, name, label)-sorted, so rows
+  // come out in canonical order.
+  std::map<std::tuple<metric_kind, std::string, std::string>, metric_row>
+      acc;
   for (const observer& ob : observers_) {
-    auto [it, inserted] = acc.try_emplace(ob.k);
+    auto [it, fresh] = acc.try_emplace({ob.kind, ob.name, ob.label});
     metric_row& row = it->second;
-    if (inserted) {
-      row.kind = ob.k.kind;
-      row.name = ob.k.name;
-      row.label = ob.k.label;
+    if (fresh) {
+      row.kind = ob.kind;
+      row.name = ob.name;
+      row.label = ob.label;
+      row.fold = ob.fold;
     }
-    if (ob.counter_fn) row.value += ob.counter_fn();
-    if (ob.gauge_fn) row.level += ob.gauge_fn();
+    if (ob.kind == metric_kind::counter) {
+      row.value += ob.counter_fn();
+    } else {
+      const std::int64_t v = ob.gauge_fn();
+      row.level = fresh ? v : fold_gauge(row.fold, row.level, v);
+    }
   }
   metrics_snapshot snap;
   snap.rows.reserve(acc.size());
@@ -174,8 +83,7 @@ void metrics_snapshot::merge(const metrics_snapshot& other) {
     } else {
       metric_row merged = std::move(*a++);
       merged.value += b->value;
-      merged.level += b->level;
-      merged.hist.merge(b->hist);
+      merged.level = fold_gauge(merged.fold, merged.level, b->level);
       out.push_back(std::move(merged));
       ++b;
     }
@@ -207,12 +115,6 @@ std::int64_t metrics_snapshot::gauge_level(const std::string& name,
   return r ? r->level : 0;
 }
 
-const log_histogram* metrics_snapshot::histogram(
-    const std::string& name, const std::string& label) const {
-  const metric_row* r = find_row(rows, metric_kind::histogram, name, label);
-  return r ? &r->hist : nullptr;
-}
-
 std::uint64_t metrics_snapshot::digest() const {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
   const auto mix = [&h](std::uint64_t v) {
@@ -235,67 +137,38 @@ std::uint64_t metrics_snapshot::digest() const {
     mix_str(r.label);
     mix(r.value);
     mix(static_cast<std::uint64_t>(r.level));
-    if (r.kind == metric_kind::histogram) {
-      mix(r.hist.count());
-      mix(r.hist.sum());
-      mix(r.hist.min());
-      mix(r.hist.max());
-      for (int i = 0; i < log_histogram::kBuckets; ++i) mix(r.hist.bucket(i));
-    }
+    mix(static_cast<std::uint64_t>(r.fold));
   }
   return h;
 }
 
-namespace {
-
-void append_key(std::ostringstream& out, const metric_row& r) {
-  out << '"' << r.name;
-  if (!r.label.empty()) out << '{' << r.label << '}';
-  out << '"';
-}
-
-}  // namespace
-
 std::string metrics_snapshot::to_json() const {
   std::ostringstream out;
   out << '{';
-  const auto emit_kind = [&](metric_kind kind, const char* section,
-                             bool& any_section) {
+  bool any_section = false;
+  for (const metric_kind kind : {metric_kind::counter, metric_kind::gauge}) {
     bool first = true;
     for (const metric_row& r : rows) {
       if (r.kind != kind) continue;
       if (first) {
         if (any_section) out << ',';
         any_section = true;
-        out << '"' << section << "\":{";
+        out << (kind == metric_kind::counter ? "\"counters\":{"
+                                             : "\"gauges\":{");
       } else {
         out << ',';
       }
       first = false;
-      append_key(out, r);
-      out << ':';
-      switch (kind) {
-        case metric_kind::counter:
-          out << r.value;
-          break;
-        case metric_kind::gauge:
-          out << r.level;
-          break;
-        case metric_kind::histogram:
-          out << "{\"count\":" << r.hist.count() << ",\"sum\":"
-              << r.hist.sum() << ",\"min\":" << r.hist.min() << ",\"max\":"
-              << r.hist.max() << ",\"p50\":" << r.hist.percentile(0.50)
-              << ",\"p95\":" << r.hist.percentile(0.95) << ",\"p99\":"
-              << r.hist.percentile(0.99) << '}';
-          break;
-      }
+      out << '"' << r.name;
+      if (!r.label.empty()) out << '{' << r.label << '}';
+      out << "\":";
+      if (kind == metric_kind::counter)
+        out << r.value;
+      else
+        out << r.level;
     }
     if (!first) out << '}';
-  };
-  bool any = false;
-  emit_kind(metric_kind::counter, "counters", any);
-  emit_kind(metric_kind::gauge, "gauges", any);
-  emit_kind(metric_kind::histogram, "histograms", any);
+  }
   out << '}';
   return out.str();
 }

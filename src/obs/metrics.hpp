@@ -1,98 +1,58 @@
 // metrics.hpp — labeled metrics registry for the simulator.
 //
-// Three instrument kinds:
+// The registry stores nothing of its own: it is a snapshot-time view of
+// values the components already keep. Each instrument is an observer, a
+// read-only callback invoked only inside snapshot(), so an armed registry
+// costs the hot path nothing. Two instrument kinds:
 //
-//   counter   — monotone uint64;
-//   gauge     — signed level (int64);
-//   histogram — log-bucketed uint64 distribution (log_histogram below),
-//               mergeable exactly: bucket counts add, so merging the
-//               histograms of N partial runs equals the histogram of the
-//               whole — the property experiment_runner leans on.
+//   counter — monotone uint64, bridged from a counter struct field
+//             (sim_metrics, service_counters, smr_counters), which stays
+//             the storage every other caller reads;
+//   gauge   — signed level (int64) read from a size or peak the component
+//             keeps. Gauges are registered through obs_bundle::gauge,
+//             which hands the same callback to the time-series sampler.
 //
-// Hot-path cost model: get_*() hands back a handle holding a raw pointer
-// into deque-backed storage (stable addresses); inc/set/observe on the
-// handle is a single pointer-indirect add with no branch other than the
-// null check. A *disabled* registry (the default) returns null handles, so
-// every instrument call collapses to a compare-and-skip; compiling with
-// -DGQS_OBS_OFF keeps registries permanently disabled for a hard zero.
-//
-// Cheap sources that already maintain their own counters (sim_metrics,
-// service counter structs) bridge in via observe_counter/observe_gauge:
-// a callback read only at snapshot() time — zero hot-path cost. Multiple
-// registrations under one (name, label) key SUM in the snapshot, which is
-// how per-node instruments (e.g. each flooding node's dedup backlog)
-// aggregate without coordination.
+// Several registrations under one (name, label) key fold into one row:
+// counters add, a gauge folds by its gauge_fold (sum or max). That is how
+// per-process instruments (e.g. each flooding node's dedup backlog)
+// aggregate without coordination, and metrics_snapshot::merge folds the
+// snapshots of several runs the same way. A disabled registry (the
+// default) drops every registration, so its snapshot is empty.
 //
 // Determinism: snapshot() rows are sorted by (kind, name, label) and hold
-// only integers; metrics_snapshot::merge is key-ordered integer addition.
-// experiment_runner folds per-run snapshots in spec order, so aggregate
-// metrics are bit-identical at any worker thread count.
+// only integers; merge is key-ordered integer arithmetic. experiment_runner
+// folds per-run snapshots in spec order, so aggregate metrics are
+// bit-identical at any worker thread count.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gqs {
 
-/// Log-bucketed histogram of uint64 samples. 256 fixed buckets: values
-/// 0..3 exact, then 4 geometric sub-buckets per power of two (relative
-/// bucket width <= 25%). Merging adds bucket counts — exact, so any
-/// partition of a sample stream merges back to the same histogram.
-class log_histogram {
- public:
-  static constexpr int kBuckets = 256;
+enum class metric_kind : std::uint8_t { counter, gauge };
 
-  void observe(std::uint64_t v) noexcept {
-    ++buckets_[bucket_index(v)];
-    ++count_;
-    sum_ += v;
-    if (v < min_) min_ = v;
-    if (v > max_) max_ = v;
-  }
+/// How readings of one gauge combine: across the processes registering
+/// it (at snapshot and sample time) and across runs (snapshot merge).
+enum class gauge_fold : std::uint8_t { sum, max };
 
-  void merge(const log_histogram& other) noexcept;
-
-  std::uint64_t count() const noexcept { return count_; }
-  std::uint64_t sum() const noexcept { return sum_; }
-  std::uint64_t min() const noexcept { return count_ ? min_ : 0; }
-  std::uint64_t max() const noexcept { return max_; }
-
-  /// Value at quantile q in [0, 1]: the upper bound of the bucket holding
-  /// the ceil(q * count)-th sample, clamped to [min, max]. Exact for
-  /// values < 4, within one sub-bucket (<= 25%) above. 0 when empty.
-  std::uint64_t percentile(double q) const noexcept;
-
-  std::uint64_t bucket(int idx) const noexcept { return buckets_[idx]; }
-
-  bool operator==(const log_histogram&) const = default;
-
-  static int bucket_index(std::uint64_t v) noexcept;
-  /// Largest value mapping to bucket `idx`.
-  static std::uint64_t bucket_upper(int idx) noexcept;
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = UINT64_MAX;
-  std::uint64_t max_ = 0;
-};
-
-enum class metric_kind : std::uint8_t { counter, gauge, histogram };
+/// Folds one more reading `v` of a gauge into `acc`.
+constexpr std::int64_t fold_gauge(gauge_fold how, std::int64_t acc,
+                                  std::int64_t v) noexcept {
+  return how == gauge_fold::max ? (v > acc ? v : acc) : acc + v;
+}
 
 /// One row of a snapshot. Which payload field is live depends on `kind`.
 struct metric_row {
   metric_kind kind = metric_kind::counter;
   std::string name;
   std::string label;
-  std::uint64_t value = 0;  ///< counter
-  std::int64_t level = 0;   ///< gauge
-  log_histogram hist;       ///< histogram
+  std::uint64_t value = 0;            ///< counter
+  std::int64_t level = 0;             ///< gauge
+  gauge_fold fold = gauge_fold::sum;  ///< gauge
 
   bool operator==(const metric_row&) const = default;
 };
@@ -103,9 +63,9 @@ struct metrics_snapshot {
 
   bool empty() const noexcept { return rows.empty(); }
 
-  /// Folds `other` in: counters and gauges add, histograms merge, keys
-  /// union. Key-ordered integer arithmetic — associative and exact, so
-  /// fold order (spec order in experiment_runner) fully determines the
+  /// Folds `other` in: counters add, gauges fold by the row's gauge_fold,
+  /// keys union. Key-ordered integer arithmetic — associative and exact,
+  /// so fold order (spec order in experiment_runner) fully determines the
   /// result bit for bit.
   void merge(const metrics_snapshot& other);
 
@@ -113,15 +73,12 @@ struct metrics_snapshot {
                               const std::string& label = "") const;
   std::int64_t gauge_level(const std::string& name,
                            const std::string& label = "") const;
-  const log_histogram* histogram(const std::string& name,
-                                 const std::string& label = "") const;
 
-  /// FNV-1a over every row (kind, key, and full payload incl. buckets).
+  /// FNV-1a over every row (kind, key, fold and payload).
   std::uint64_t digest() const;
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with
-  /// integer values only (locale-proof). Histograms render count/sum/
-  /// min/max/p50/p95/p99.
+  /// {"counters": {...}, "gauges": {...}} with integer values only
+  /// (locale-proof).
   std::string to_json() const;
 
   bool operator==(const metrics_snapshot&) const = default;
@@ -130,91 +87,32 @@ struct metrics_snapshot {
 /// The registry. One per simulation; disabled by default.
 class metrics_registry {
  public:
-  class counter_handle {
-   public:
-    void inc(std::uint64_t n = 1) const noexcept {
-      if (cell_) *cell_ += n;
-    }
-    explicit operator bool() const noexcept { return cell_ != nullptr; }
-
-   private:
-    friend class metrics_registry;
-    std::uint64_t* cell_ = nullptr;
-  };
-
-  class gauge_handle {
-   public:
-    void set(std::int64_t v) const noexcept {
-      if (cell_) *cell_ = v;
-    }
-    void add(std::int64_t d) const noexcept {
-      if (cell_) *cell_ += d;
-    }
-    explicit operator bool() const noexcept { return cell_ != nullptr; }
-
-   private:
-    friend class metrics_registry;
-    std::int64_t* cell_ = nullptr;
-  };
-
-  class histogram_handle {
-   public:
-    void observe(std::uint64_t v) const noexcept {
-      if (cell_) cell_->observe(v);
-    }
-    explicit operator bool() const noexcept { return cell_ != nullptr; }
-
-   private:
-    friend class metrics_registry;
-    log_histogram* cell_ = nullptr;
-  };
-
-  /// Run-time arm switch. GQS_OBS_OFF compiles it away entirely.
-  void enable() noexcept {
-#ifndef GQS_OBS_OFF
-    enabled_ = true;
-#endif
-  }
+  void enable() noexcept { enabled_ = true; }
   bool enabled() const noexcept { return enabled_; }
 
-  /// Registration (not hot): same (name, label) returns the same cell.
-  /// Disabled registries hand back null handles — every use is a no-op.
-  counter_handle get_counter(const std::string& name,
-                             const std::string& label = "");
-  gauge_handle get_gauge(const std::string& name,
-                         const std::string& label = "");
-  histogram_handle get_histogram(const std::string& name,
-                                 const std::string& label = "");
-
-  /// Snapshot-time bridges for externally-maintained values: `fn` is
-  /// invoked only inside snapshot(). Several registrations under one key
-  /// sum. Dropped silently when disabled.
-  void observe_counter(const std::string& name, const std::string& label,
+  /// Registers a snapshot-time observer: `fn` is invoked only inside
+  /// snapshot(). Registrations under one key fold (see the file comment);
+  /// a gauge key keeps the fold of its first registration. Dropped
+  /// silently when disabled.
+  void observe_counter(std::string_view name, std::string_view label,
                        std::function<std::uint64_t()> fn);
-  void observe_gauge(const std::string& name, const std::string& label,
-                     std::function<std::int64_t()> fn);
+  void observe_gauge(std::string_view name, std::string_view label,
+                     std::function<std::int64_t()> fn,
+                     gauge_fold how = gauge_fold::sum);
 
   metrics_snapshot snapshot() const;
 
  private:
-  struct key {
+  struct observer {
     metric_kind kind;
     std::string name;
     std::string label;
-    auto operator<=>(const key&) const = default;
-  };
-  struct observer {
-    key k;
+    gauge_fold fold;
     std::function<std::uint64_t()> counter_fn;
     std::function<std::int64_t()> gauge_fn;
   };
 
   bool enabled_ = false;
-  // Deques: pointer stability while cells are appended.
-  std::deque<std::uint64_t> counter_cells_;
-  std::deque<std::int64_t> gauge_cells_;
-  std::deque<log_histogram> histogram_cells_;
-  std::map<key, std::size_t> index_;  // key -> index in its kind's deque
   std::vector<observer> observers_;
 };
 

@@ -1,11 +1,11 @@
 #include "obs/timeseries.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace gqs {
 
-void timeseries_sampler::add_probe(std::string name, probe_fn fn, agg how) {
+void timeseries_sampler::add_probe(std::string_view name, probe_fn fn,
+                                   gauge_fold how) {
   if (!enabled() || !fn) return;
   std::size_t idx = series_.size();
   for (std::size_t i = 0; i < series_.size(); ++i)
@@ -15,7 +15,7 @@ void timeseries_sampler::add_probe(std::string name, probe_fn fn, agg how) {
     }
   if (idx == series_.size()) {
     series s;
-    s.name = std::move(name);
+    s.name = std::string(name);
     s.how = how;
     series_.push_back(std::move(s));
   }
@@ -38,10 +38,8 @@ void timeseries_sampler::sample_due(sim_time now) {
     if (!touched[p.series_idx]) {
       slot = v;
       touched[p.series_idx] = true;
-    } else if (series_[p.series_idx].how == agg::max) {
-      slot = std::max(slot, v);
     } else {
-      slot += v;
+      slot = fold_gauge(series_[p.series_idx].how, slot, v);
     }
   }
   for (std::size_t i = 0; i < series_.size(); ++i)
@@ -56,7 +54,7 @@ std::string timeseries_sampler::to_json() const {
     if (!first_series) out << ',';
     first_series = false;
     out << "{\"name\":\"" << s.name << "\",\"agg\":\""
-        << (s.how == agg::max ? "max" : "sum") << "\",\"points\":[";
+        << (s.how == gauge_fold::max ? "max" : "sum") << "\",\"points\":[";
     bool first_point = true;
     for (const point& p : s.points) {
       if (!first_point) out << ',';

@@ -1,15 +1,17 @@
 // timeseries.hpp — periodic gauge sampler on simulated time.
 //
-// Components register probes (read-only int64 callbacks: link queue
-// depths, in-flight pipeline windows, dedup/gossip backlog, lease/view
-// state); the simulator calls sample_due() from its event loop whenever
-// simulated time crosses the configured period. Sampling only *reads*
-// component state — no RNG draws, no events scheduled — so enabling it
-// cannot perturb a run's behaviour, and the recorded points are a pure
-// function of the run: bit-identical across repeats and thread counts.
+// Components register their gauges (read-only int64 callbacks: link queue
+// depths, in-flight pipeline windows, dedup/gossip backlog, view state)
+// once, through obs_bundle::gauge, which hands each callback both to the
+// metrics registry and to this sampler. The simulator calls sample_due()
+// from its event loop whenever simulated time crosses the configured
+// period. Sampling only *reads* component state — no RNG draws, no events
+// scheduled — so enabling it cannot perturb a run's behaviour, and the
+// recorded points are a pure function of the run: bit-identical across
+// repeats and thread counts.
 //
-// Probes registered under the same name fold into one series (sum or max
-// per the first registration's aggregation), which is how per-node probes
+// Probes registered under the same name fold into one series by the first
+// registration's gauge_fold (sum or max), which is how per-node probes
 // become one system-wide series.
 //
 // Disabled (period 0, the default): next_due() pins at sim_time_never, so
@@ -19,8 +21,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace gqs {
@@ -28,7 +32,6 @@ namespace gqs {
 class timeseries_sampler {
  public:
   using probe_fn = std::function<std::int64_t()>;
-  enum class agg : std::uint8_t { sum, max };
 
   struct point {
     sim_time at = 0;
@@ -37,7 +40,7 @@ class timeseries_sampler {
   };
   struct series {
     std::string name;
-    agg how = agg::sum;
+    gauge_fold how = gauge_fold::sum;
     std::vector<point> points;
     bool operator==(const series&) const = default;
   };
@@ -53,8 +56,10 @@ class timeseries_sampler {
   /// Next simulated instant a sample is owed; sim_time_never when off.
   sim_time next_due() const noexcept { return next_; }
 
-  /// Registers a probe. Same name => folded into one series.
-  void add_probe(std::string name, probe_fn fn, agg how = agg::sum);
+  /// Registers a probe. Same name => folded into one series. Dropped
+  /// silently when disabled.
+  void add_probe(std::string_view name, probe_fn fn,
+                 gauge_fold how = gauge_fold::sum);
 
   /// Records one point per series stamped at the latest due instant
   /// <= now, then re-arms. Call when now >= next_due().

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -69,9 +70,6 @@ struct service_options {
   /// qaf_ablation.hpp. MUST stay true in supported use.
   bool use_get_cutoff = true;
   bool use_set_confirmation = true;
-  /// Starting value of the shared engine clock (per-process offsets are
-  /// harmless; see qaf_ablation.hpp).
-  std::uint64_t initial_clock = 0;
   /// Gossip ticks a stream gap may persist before the receiver NACKs it.
   int nack_gap_ticks = 2;
   /// Strategy-driven targeted access (strategy/selector.hpp): when set,
@@ -213,7 +211,6 @@ class quorum_service : public component {
       : keys_(keys),
         config_(std::move(config)),
         options_(options),
-        clock_(options.initial_clock),
         states_(keys),
         key_clock_(keys, 0),
         dirty_flag_(keys, 0),
@@ -437,42 +434,39 @@ class quorum_service : public component {
 
   /// Binds this instance to the host's obs bundle (nullptr-safe; inert
   /// when telemetry is off). Counters bridge as snapshot-time observers —
-  /// the service_counters struct stays the façade existing callers read.
+  /// the service_counters struct stays the storage existing callers read.
   void register_obs() {
     obs_bundle* o = this->obs();
     if (!o) return;
     tracer_ = o->tracer.recording() ? &o->tracer : nullptr;
-    if (o->metrics.enabled()) {
-      const service_counters* c = &counters_;
-      const auto bridge = [&](const char* name, const std::uint64_t* cell) {
-        o->metrics.observe_counter(name, "", [cell] { return *cell; });
-      };
-      bridge("svc.ops_started", &c->ops_started);
-      bridge("svc.ops_completed", &c->ops_completed);
-      bridge("svc.flushes", &c->flushes);
-      bridge("svc.probes_sent", &c->probes_sent);
-      bridge("svc.set_batches_sent", &c->set_batches_sent);
-      bridge("svc.set_entries_sent", &c->set_entries_sent);
-      bridge("svc.gossip_batches_sent", &c->gossip_batches_sent);
-      bridge("svc.gossip_entries_sent", &c->gossip_entries_sent);
-      bridge("svc.nacks_sent", &c->nacks_sent);
-      bridge("svc.repairs_sent", &c->repairs_sent);
-      bridge("svc.targeted_probes", &c->targeted_probes);
-      bridge("svc.targeted_set_batches", &c->targeted_set_batches);
-      bridge("svc.escalations", &c->escalations);
-      o->metrics.observe_gauge("svc.gossip_backlog", "", [this] {
-        return static_cast<std::int64_t>(gossip_backlog());
-      });
-    }
-    if (o->sampler.enabled()) {
-      o->sampler.add_probe("svc.gossip_backlog", [this] {
-        return static_cast<std::int64_t>(gossip_backlog());
-      });
-      o->sampler.add_probe("svc.open_groups", [this] {
-        return static_cast<std::int64_t>(get_groups_.size() +
-                                         set_groups_.size());
-      });
-    }
+    using field = std::uint64_t service_counters::*;
+    static constexpr std::pair<const char*, field> counters[] = {
+        {"svc.ops_started", &service_counters::ops_started},
+        {"svc.ops_completed", &service_counters::ops_completed},
+        {"svc.flushes", &service_counters::flushes},
+        {"svc.probes_sent", &service_counters::probes_sent},
+        {"svc.set_batches_sent", &service_counters::set_batches_sent},
+        {"svc.set_entries_sent", &service_counters::set_entries_sent},
+        {"svc.gossip_batches_sent", &service_counters::gossip_batches_sent},
+        {"svc.gossip_entries_sent", &service_counters::gossip_entries_sent},
+        {"svc.nacks_sent", &service_counters::nacks_sent},
+        {"svc.repairs_sent", &service_counters::repairs_sent},
+        {"svc.targeted_probes", &service_counters::targeted_probes},
+        {"svc.targeted_set_batches", &service_counters::targeted_set_batches},
+        {"svc.escalations", &service_counters::escalations}};
+    static_assert(std::size(counters) * sizeof(std::uint64_t) ==
+                      sizeof(service_counters),
+                  "every service_counters field needs a registry bridge");
+    for (const auto& [name, f] : counters)
+      o->metrics.observe_counter(name, "",
+                                 [c = &counters_, f] { return c->*f; });
+    o->gauge("svc.gossip_backlog", [this] {
+      return static_cast<std::int64_t>(gossip_backlog());
+    });
+    o->gauge("svc.open_groups", [this] {
+      return static_cast<std::int64_t>(get_groups_.size() +
+                                       set_groups_.size());
+    });
   }
 
   span_ref open_group_span(const char* name) {
@@ -783,7 +777,7 @@ class quorum_service : public component {
   quorum_config config_;
   service_options options_;
 
-  std::uint64_t clock_;            // shared Figure 3 engine clock
+  std::uint64_t clock_ = 0;        // shared Figure 3 engine clock
   std::uint64_t op_seq_ = 0;       // client operation sequence
   std::uint64_t probe_seq_ = 0;    // get flush groups
   std::uint64_t batch_seq_ = 0;    // set flush groups

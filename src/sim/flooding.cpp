@@ -3,17 +3,9 @@
 namespace gqs {
 
 void flooding_node::on_attach() {
-  obs_bundle& o = sim().obs();
-  if (o.metrics.enabled()) {
-    o.metrics.observe_gauge("flood.dedup_backlog", "", [this] {
-      return static_cast<std::int64_t>(dedup_backlog());
-    });
-  }
-  if (o.sampler.enabled()) {
-    o.sampler.add_probe("flood.dedup_backlog", [this] {
-      return static_cast<std::int64_t>(dedup_backlog());
-    });
-  }
+  sim().obs().gauge("flood.dedup_backlog", [this] {
+    return static_cast<std::int64_t>(dedup_backlog());
+  });
 }
 
 void flooding_node::on_message(process_id from, const message_ptr& m) {

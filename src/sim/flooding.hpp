@@ -84,8 +84,7 @@ class flooding_node : public node {
     return total;
   }
 
-  /// Registers the dedup backlog as an observed gauge and sampler probe
-  /// (summed across nodes) when the run's telemetry is on.
+  /// Registers the dedup backlog as a gauge, summed across nodes.
   void on_attach() override;
 
  protected:

@@ -1,7 +1,9 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 namespace gqs {
 
@@ -26,34 +28,32 @@ simulation::simulation(process_id n, network_options net, fault_plan faults,
 }
 
 void simulation::register_obs_bridges() {
-  if (obs_.metrics.enabled()) {
-    // sim_metrics stays the façade every existing call site reads; the
-    // registry sees the same cells through snapshot-time observers.
-    const sim_metrics* m = &metrics_;
-    const auto bridge = [&](const char* name, const std::uint64_t* cell) {
-      obs_.metrics.observe_counter(name, "", [cell] { return *cell; });
-    };
-    bridge("sim.messages_sent", &m->messages_sent);
-    bridge("sim.messages_delivered", &m->messages_delivered);
-    bridge("sim.dropped_disconnected", &m->dropped_disconnected);
-    bridge("sim.dropped_receiver_crashed", &m->dropped_receiver_crashed);
-    bridge("sim.timers_fired", &m->timers_fired);
-    bridge("sim.events_processed", &m->events_processed);
-    bridge("sim.bytes_sent", &m->bytes_sent);
-    bridge("sim.bytes_delivered", &m->bytes_delivered);
-    bridge("sim.dropped_queue_full", &m->dropped_queue_full);
-    obs_.metrics.observe_gauge("sim.max_link_queue_depth", "", [m] {
-      return static_cast<std::int64_t>(m->max_link_queue_depth);
-    });
-  }
-  if (obs_.sampler.enabled() && channels_.enabled()) {
-    obs_.sampler.add_probe(
-        "net.max_link_queue_depth",
-        [this] {
-          return static_cast<std::int64_t>(channels_.max_queue_depth());
-        },
-        timeseries_sampler::agg::max);
-  }
+  // sim_metrics stays the storage every call site reads; the registry sees
+  // its fields through snapshot-time observers. The size check fails the
+  // build when a new field is added without a bridge here.
+  using field = std::uint64_t sim_metrics::*;
+  static constexpr std::pair<const char*, field> counters[] = {
+      {"sim.messages_sent", &sim_metrics::messages_sent},
+      {"sim.messages_delivered", &sim_metrics::messages_delivered},
+      {"sim.dropped_disconnected", &sim_metrics::dropped_disconnected},
+      {"sim.dropped_receiver_crashed", &sim_metrics::dropped_receiver_crashed},
+      {"sim.timers_fired", &sim_metrics::timers_fired},
+      {"sim.events_processed", &sim_metrics::events_processed},
+      {"sim.bytes_sent", &sim_metrics::bytes_sent},
+      {"sim.bytes_delivered", &sim_metrics::bytes_delivered},
+      {"sim.dropped_queue_full", &sim_metrics::dropped_queue_full}};
+  static_assert((std::size(counters) + 1) * sizeof(std::uint64_t) ==
+                    sizeof(sim_metrics),
+                "every sim_metrics field needs a registry bridge");
+  for (const auto& [name, f] : counters)
+    obs_.metrics.observe_counter(name, "",
+                                 [m = &metrics_, f] { return m->*f; });
+  obs_.gauge(
+      "sim.max_link_queue_depth",
+      [m = &metrics_] {
+        return static_cast<std::int64_t>(m->max_link_queue_depth);
+      },
+      gauge_fold::max);
 }
 
 simulation::~simulation() = default;

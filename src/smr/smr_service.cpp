@@ -1,6 +1,8 @@
 #include "smr/smr_service.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace gqs {
 
@@ -90,61 +92,52 @@ void smr_service::register_obs() {
   obs_bundle* o = obs();
   if (!o) return;
   tracer_ = o->tracer.recording() ? &o->tracer : nullptr;
-  if (o->metrics.enabled()) {
-    const smr_counters* c = &counters_;
-    const auto bridge = [&](const char* name, const std::uint64_t* cell) {
-      o->metrics.observe_counter(name, "", [cell] { return *cell; });
+  using field = std::uint64_t smr_counters::*;
+  static constexpr std::pair<const char*, field> counters[] = {
+      {"smr.commands_submitted", &smr_counters::commands_submitted},
+      {"smr.commands_forwarded", &smr_counters::commands_forwarded},
+      {"smr.commands_applied", &smr_counters::commands_applied},
+      {"smr.commands_deduped", &smr_counters::commands_deduped},
+      {"smr.entries_proposed", &smr_counters::entries_proposed},
+      {"smr.entries_committed", &smr_counters::entries_committed},
+      {"smr.phase1_rounds", &smr_counters::phase1_rounds},
+      {"smr.targeted_phase1", &smr_counters::targeted_phase1},
+      {"smr.targeted_phase2", &smr_counters::targeted_phase2},
+      {"smr.escalations", &smr_counters::escalations},
+      {"smr.view_changes", &smr_counters::view_changes},
+      {"smr.heartbeats", &smr_counters::heartbeats},
+      {"smr.retries", &smr_counters::retries}};
+  static_assert(std::size(counters) * sizeof(std::uint64_t) ==
+                    sizeof(smr_counters),
+                "every smr_counters field needs a registry bridge");
+  for (const auto& [name, f] : counters)
+    o->metrics.observe_counter(name, "",
+                               [c = &counters_, f] { return c->*f; });
+  // Gauges summed over this process's shards.
+  const auto total = [this](auto size_of) {
+    return [this, size_of] {
+      std::int64_t sum = 0;
+      for (const shard_state& ss : shards_)
+        sum += static_cast<std::int64_t>(size_of(ss));
+      return sum;
     };
-    bridge("smr.commands_submitted", &c->commands_submitted);
-    bridge("smr.commands_forwarded", &c->commands_forwarded);
-    bridge("smr.commands_applied", &c->commands_applied);
-    bridge("smr.commands_deduped", &c->commands_deduped);
-    bridge("smr.entries_proposed", &c->entries_proposed);
-    bridge("smr.entries_committed", &c->entries_committed);
-    bridge("smr.phase1_rounds", &c->phase1_rounds);
-    bridge("smr.targeted_phase1", &c->targeted_phase1);
-    bridge("smr.targeted_phase2", &c->targeted_phase2);
-    bridge("smr.escalations", &c->escalations);
-    bridge("smr.view_changes", &c->view_changes);
-    bridge("smr.heartbeats", &c->heartbeats);
-    bridge("smr.retries", &c->retries);
-    o->metrics.observe_gauge("smr.inflight", "", [this] {
-      std::int64_t total = 0;
-      for (const shard_state& ss : shards_)
-        total += static_cast<std::int64_t>(ss.inflight.size());
-      return total;
-    });
-  }
-  if (o->sampler.enabled()) {
-    o->sampler.add_probe("smr.inflight", [this] {
-      std::int64_t total = 0;
-      for (const shard_state& ss : shards_)
-        total += static_cast<std::int64_t>(ss.inflight.size());
-      return total;
-    });
-    o->sampler.add_probe("smr.staged", [this] {
-      std::int64_t total = 0;
-      for (const shard_state& ss : shards_)
-        total += static_cast<std::int64_t>(ss.staged.size() +
-                                           ss.fwd_staged.size());
-      return total;
-    });
-    o->sampler.add_probe("smr.pending", [this] {
-      std::int64_t total = 0;
-      for (const shard_state& ss : shards_)
-        total += static_cast<std::int64_t>(ss.pending.size());
-      return total;
-    });
-    o->sampler.add_probe(
-        "smr.view",
-        [this] {
-          std::int64_t hi = 0;
-          for (const shard_state& ss : shards_)
-            hi = std::max(hi, static_cast<std::int64_t>(ss.view));
-          return hi;
-        },
-        timeseries_sampler::agg::max);
-  }
+  };
+  o->gauge("smr.inflight",
+           total([](const shard_state& ss) { return ss.inflight.size(); }));
+  o->gauge("smr.staged", total([](const shard_state& ss) {
+             return ss.staged.size() + ss.fwd_staged.size();
+           }));
+  o->gauge("smr.pending",
+           total([](const shard_state& ss) { return ss.pending.size(); }));
+  o->gauge(
+      "smr.view",
+      [this] {
+        std::int64_t hi = 0;
+        for (const shard_state& ss : shards_)
+          hi = std::max(hi, static_cast<std::int64_t>(ss.view));
+        return hi;
+      },
+      gauge_fold::max);
 }
 
 void smr_service::on_timeout(int timer_id) {

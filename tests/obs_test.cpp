@@ -1,8 +1,8 @@
-// Tests for the observability subsystem (src/obs): log-bucketed histogram
-// merge/percentile properties, the metrics registry and its deterministic
-// snapshot/merge pipeline through the experiment runner, the time-series
-// sampler, the span recorder's well-formedness contract, and an
-// end-to-end SMR trace whose commit spans causally follow phase 2.
+// Tests for the observability subsystem (src/obs): the metrics registry
+// and its deterministic snapshot/merge pipeline through the experiment
+// runner, the time-series sampler, the one gauge registration feeding
+// both, the span recorder's well-formedness contract, and an end-to-end
+// SMR trace whose commit spans causally follow phase 2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,133 +18,52 @@
 namespace gqs {
 namespace {
 
-// Deterministic value stream (no std::random: bit-identical everywhere).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// ---------------------------------------------------------------------
-// log_histogram
-
-TEST(LogHistogram, BucketBoundsAndWidth) {
-  const std::uint64_t samples[] = {0,    1,    2,         3,
-                                   4,    5,    7,         8,
-                                   100,  1000, 123456789, (1ull << 40) + 17,
-                                   ~0ull};
-  for (std::uint64_t v : samples) {
-    const int idx = log_histogram::bucket_index(v);
-    ASSERT_GE(idx, 0);
-    ASSERT_LT(idx, log_histogram::kBuckets);
-    const std::uint64_t upper = log_histogram::bucket_upper(idx);
-    EXPECT_GE(upper, v) << v;
-    if (v < 4)
-      EXPECT_EQ(upper, v);  // exact buckets
-    else
-      EXPECT_LE(upper - v, v / 4) << v;  // <= 25% relative width
-  }
-  // Monotone: growing values never map to an earlier bucket.
-  int prev = -1;
-  for (std::uint64_t v = 0; v < 5000; ++v) {
-    const int idx = log_histogram::bucket_index(v);
-    EXPECT_GE(idx, prev) << v;
-    prev = idx;
-  }
-}
-
-TEST(LogHistogram, MergeOfPartsEqualsWhole) {
-  log_histogram whole;
-  log_histogram parts[4];
-  std::uint64_t x = 42;
-  for (int i = 0; i < 10000; ++i) {
-    x = mix64(x);
-    const std::uint64_t v = x >> (x % 50);  // wide dynamic range
-    whole.observe(v);
-    parts[i % 4].observe(v);
-  }
-  log_histogram merged;
-  for (const log_histogram& p : parts) merged.merge(p);
-  EXPECT_EQ(merged, whole);
-  EXPECT_EQ(merged.count(), 10000u);
-  EXPECT_EQ(merged.sum(), whole.sum());
-}
-
-TEST(LogHistogram, PercentileBoundsAndMonotonicity) {
-  log_histogram h;
-  std::uint64_t x = 7;
-  for (int i = 0; i < 1000; ++i) {
-    x = mix64(x);
-    h.observe(x % 100000);
-  }
-  std::uint64_t prev = 0;
-  for (double q = 0.0; q <= 1.0; q += 0.05) {
-    const std::uint64_t p = h.percentile(q);
-    EXPECT_GE(p, h.min());
-    EXPECT_LE(p, h.max());
-    EXPECT_GE(p, prev) << q;  // monotone in q
-    prev = p;
-  }
-  // Exact on the small-value range.
-  log_histogram small;
-  for (int i = 0; i < 4; ++i) small.observe(i);  // 0 1 2 3
-  EXPECT_EQ(small.percentile(0.25), 0u);
-  EXPECT_EQ(small.percentile(1.0), 3u);
-}
-
-TEST(LogHistogram, EmptyIsInert) {
-  log_histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  EXPECT_EQ(h.percentile(0.5), 0u);
-  log_histogram other;
-  other.observe(9);
-  other.merge(h);  // merging empty changes nothing
-  EXPECT_EQ(other.count(), 1u);
-  EXPECT_EQ(other.min(), 9u);
-}
-
 // ---------------------------------------------------------------------
 // metrics_registry
 
 TEST(MetricsRegistry, DisabledHandlesAreNoOps) {
-  metrics_registry reg;  // never enabled
-  auto c = reg.get_counter("ops");
-  auto g = reg.get_gauge("depth");
-  auto h = reg.get_histogram("lat");
-  EXPECT_FALSE(static_cast<bool>(c));
-  EXPECT_FALSE(static_cast<bool>(g));
-  EXPECT_FALSE(static_cast<bool>(h));
-  c.inc();
-  g.set(5);
-  h.observe(10);
-  reg.observe_counter("bridged", "", [] { return 99u; });
+  // A disabled registry (the default) drops every registration unread.
+  metrics_registry reg;
+  bool read = false;
+  reg.observe_counter("bridged", "", [&read] {
+    read = true;
+    return std::uint64_t{99};
+  });
+  reg.observe_gauge("depth", "", [&read] {
+    read = true;
+    return std::int64_t{5};
+  });
   EXPECT_TRUE(reg.snapshot().empty());
+  EXPECT_FALSE(read);
+
+  // So does a bundle with telemetry and sampling both off.
+  obs_bundle o;
+  o.gauge("depth", [&read] {
+    read = true;
+    return std::int64_t{5};
+  });
+  o.sampler.sample_due(100);
+  EXPECT_TRUE(o.metrics.snapshot().empty());
+  EXPECT_TRUE(o.sampler.all().empty());
+  EXPECT_FALSE(read);
 }
 
 TEST(MetricsRegistry, CountersGaugesHistogramsAndLabels) {
   metrics_registry reg;
   reg.enable();
-  auto a = reg.get_counter("ops", "read");
-  auto b = reg.get_counter("ops", "write");
-  auto a2 = reg.get_counter("ops", "read");  // same cell
-  a.inc();
-  a.inc(4);
-  a2.inc();
-  b.inc(2);
-  reg.get_gauge("depth").set(7);
-  auto h = reg.get_histogram("lat");
-  h.observe(3);
-  h.observe(300);
+  std::uint64_t reads = 6, writes = 2;
+  reg.observe_counter("ops", "read", [&reads] { return reads; });
+  reg.observe_counter("ops", "write", [&writes] { return writes; });
+  reg.observe_gauge("depth", "", [] { return std::int64_t{7}; });
+  reg.observe_gauge("depth", "hot", [] { return std::int64_t{-2}; });
 
   const metrics_snapshot s = reg.snapshot();
   EXPECT_EQ(s.counter_value("ops", "read"), 6u);
   EXPECT_EQ(s.counter_value("ops", "write"), 2u);
+  EXPECT_EQ(s.counter_value("ops"), 0u);  // unlabeled key never registered
   EXPECT_EQ(s.gauge_level("depth"), 7);
-  ASSERT_NE(s.histogram("lat"), nullptr);
-  EXPECT_EQ(s.histogram("lat")->count(), 2u);
+  EXPECT_EQ(s.gauge_level("depth", "hot"), -2);
+  EXPECT_EQ(s.rows.size(), 4u);
   // Rows are sorted by (kind, name, label) — the determinism invariant.
   for (std::size_t i = 1; i < s.rows.size(); ++i) {
     const auto& p = s.rows[i - 1];
@@ -152,6 +71,9 @@ TEST(MetricsRegistry, CountersGaugesHistogramsAndLabels) {
     EXPECT_TRUE(std::tie(p.kind, p.name, p.label) <
                 std::tie(q.kind, q.name, q.label));
   }
+  const std::string json = s.to_json();
+  EXPECT_NE(json.find("\"ops{read}\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"depth{hot}\":-2"), std::string::npos);
 }
 
 TEST(MetricsRegistry, ObserversSumUnderOneKey) {
@@ -160,33 +82,34 @@ TEST(MetricsRegistry, ObserversSumUnderOneKey) {
   std::uint64_t n1 = 10, n2 = 32;
   reg.observe_counter("bridged", "", [&n1] { return n1; });
   reg.observe_counter("bridged", "", [&n2] { return n2; });
-  reg.get_counter("bridged").inc(100);  // direct cell sums in too
   std::int64_t backlog = -3;
   reg.observe_gauge("backlog", "", [&backlog] { return backlog; });
-  EXPECT_EQ(reg.snapshot().counter_value("bridged"), 142u);
+  EXPECT_EQ(reg.snapshot().counter_value("bridged"), 42u);
   EXPECT_EQ(reg.snapshot().gauge_level("backlog"), -3);
   n1 = 11;  // live read at snapshot time
-  EXPECT_EQ(reg.snapshot().counter_value("bridged"), 143u);
+  EXPECT_EQ(reg.snapshot().counter_value("bridged"), 43u);
 }
 
 TEST(MetricsSnapshot, MergeAddsAndUnions) {
   metrics_registry ra, rb;
   ra.enable();
   rb.enable();
-  ra.get_counter("x").inc(2);
-  ra.get_gauge("g").set(5);
-  ra.get_histogram("h").observe(10);
-  rb.get_counter("x").inc(3);
-  rb.get_counter("only_b").inc(1);
-  rb.get_histogram("h").observe(20);
+  ra.observe_counter("x", "", [] { return std::uint64_t{2}; });
+  ra.observe_gauge("g", "", [] { return std::int64_t{5}; });
+  ra.observe_gauge("peak", "", [] { return std::int64_t{7}; },
+                   gauge_fold::max);
+  rb.observe_counter("x", "", [] { return std::uint64_t{3}; });
+  rb.observe_counter("only_b", "", [] { return std::uint64_t{1}; });
+  rb.observe_gauge("g", "", [] { return std::int64_t{4}; });
+  rb.observe_gauge("peak", "", [] { return std::int64_t{2}; },
+                   gauge_fold::max);
 
   metrics_snapshot m = ra.snapshot();
   m.merge(rb.snapshot());
   EXPECT_EQ(m.counter_value("x"), 5u);
   EXPECT_EQ(m.counter_value("only_b"), 1u);
-  EXPECT_EQ(m.gauge_level("g"), 5);
-  EXPECT_EQ(m.histogram("h")->count(), 2u);
-  EXPECT_EQ(m.histogram("h")->sum(), 30u);
+  EXPECT_EQ(m.gauge_level("g"), 9);     // sum fold adds
+  EXPECT_EQ(m.gauge_level("peak"), 7);  // max fold keeps the peak
 
   // Digest separates distinct snapshots and is stable for equal ones.
   EXPECT_EQ(m.digest(), [&] {
@@ -195,11 +118,16 @@ TEST(MetricsSnapshot, MergeAddsAndUnions) {
     return again.digest();
   }());
   EXPECT_NE(m.digest(), ra.snapshot().digest());
+  metrics_snapshot refolded = m;  // same values, one fold changed
+  for (metric_row& r : refolded.rows)
+    if (r.name == "g") r.fold = gauge_fold::max;
+  EXPECT_NE(m.digest(), refolded.digest());
 
   const std::string json = m.to_json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"x\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
+  EXPECT_NE(json.find("\"peak\":7"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -216,7 +144,7 @@ TEST(TimeseriesSampler, PeriodicPointsWithSumAndMaxFolding) {
   std::int64_t depth_a = 1, depth_b = 2, view = 3;
   s.add_probe("depth", [&depth_a] { return depth_a; });
   s.add_probe("depth", [&depth_b] { return depth_b; });  // same series: sum
-  s.add_probe("view", [&view] { return view; }, timeseries_sampler::agg::max);
+  s.add_probe("view", [&view] { return view; }, gauge_fold::max);
 
   s.sample_due(10);
   depth_a = 5;
@@ -246,6 +174,37 @@ TEST(TimeseriesSampler, DisabledSamplerDropsProbes) {
   s.add_probe("x", [] { return std::int64_t{1}; });
   s.sample_due(100);
   EXPECT_TRUE(s.all().empty());
+}
+
+// ---------------------------------------------------------------------
+// obs_bundle::gauge
+
+TEST(ObsBundle, OneGaugeFeedsRegistryAndSamplerWithItsFold) {
+  // One max-fold gauge registered at two processes: the snapshot and the
+  // sampled series both read the peak of the two, not their sum.
+  obs_bundle o;
+  o.metrics.enable();
+  o.sampler.configure(10);
+  std::int64_t at_p0 = 3, at_p1 = 8;
+  o.gauge("peak", [&at_p0] { return at_p0; }, gauge_fold::max);
+  o.gauge("peak", [&at_p1] { return at_p1; }, gauge_fold::max);
+  o.sampler.sample_due(10);
+  at_p0 = 12;
+  o.sampler.sample_due(20);
+
+  const metrics_snapshot snap = o.metrics.snapshot();
+  ASSERT_EQ(snap.rows.size(), 1u);
+  EXPECT_EQ(snap.rows[0].kind, metric_kind::gauge);
+  EXPECT_EQ(snap.rows[0].fold, gauge_fold::max);
+  EXPECT_EQ(snap.gauge_level("peak"), 12);
+
+  ASSERT_EQ(o.sampler.all().size(), 1u);
+  const auto& series = o.sampler.all()[0];
+  EXPECT_EQ(series.name, "peak");
+  EXPECT_EQ(series.how, gauge_fold::max);
+  ASSERT_EQ(series.points.size(), 2u);
+  EXPECT_EQ(series.points[0].value, 8);
+  EXPECT_EQ(series.points[1].value, 12);
 }
 
 // ---------------------------------------------------------------------
@@ -398,10 +357,19 @@ TEST(ObsEndToEnd, SmrTraceIsWellFormed) {
   // Registry saw the run through the bridges.
   EXPECT_GE(run.obs.counter_value("smr.commands_applied"), 4u * 24u);
   EXPECT_GT(run.obs.counter_value("sim.messages_delivered"), 0u);
-  // Sampler produced series (net gauge + smr probes registered).
+  // Sampler produced series, each one also a registry gauge with the same
+  // fold: every gauge is registered once, for both.
   EXPECT_FALSE(run.series.empty());
   std::size_t points = 0;
-  for (const auto& s : run.series) points += s.points.size();
+  for (const auto& s : run.series) {
+    points += s.points.size();
+    const auto row = std::find_if(
+        run.obs.rows.begin(), run.obs.rows.end(), [&s](const metric_row& r) {
+          return r.kind == metric_kind::gauge && r.name == s.name;
+        });
+    ASSERT_NE(row, run.obs.rows.end()) << s.name;
+    EXPECT_EQ(row->fold, s.how) << s.name;
+  }
   EXPECT_GT(points, 0u);
 }
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <utility>
 
 #include "core/factories.hpp"
 #include "lincheck/dependency_graph.hpp"
@@ -169,7 +171,9 @@ TEST(QuorumService, GossipCarriesOnlyDirtyKeys) {
 
 TEST(QuorumService, TelemetryBridgesSumCountersAcrossNodes) {
   // Every svc.* registry counter is the sum over processes of the
-  // matching counters() field.
+  // matching counters() field, and every sim.* row is its sim_metrics
+  // field. The size checks fail the build when a struct grows a field
+  // this test does not list.
   const auto fig = make_figure1();
   network_options net;
   net.telemetry = true;
@@ -182,7 +186,7 @@ TEST(QuorumService, TelemetryBridgesSumCountersAcrossNodes) {
   const auto obs = w.sim.obs().metrics.snapshot();
   using field = std::uint64_t service_counters::*;
 #define GQS_SVC_FIELD(f) {"svc." #f, &service_counters::f}
-  const std::pair<const char*, field> bridged[] = {
+  static constexpr std::pair<const char*, field> bridged[] = {
       GQS_SVC_FIELD(ops_started), GQS_SVC_FIELD(ops_completed),
       GQS_SVC_FIELD(flushes), GQS_SVC_FIELD(probes_sent),
       GQS_SVC_FIELD(set_batches_sent), GQS_SVC_FIELD(set_entries_sent),
@@ -191,6 +195,8 @@ TEST(QuorumService, TelemetryBridgesSumCountersAcrossNodes) {
       GQS_SVC_FIELD(targeted_probes), GQS_SVC_FIELD(targeted_set_batches),
       GQS_SVC_FIELD(escalations)};
 #undef GQS_SVC_FIELD
+  static_assert(std::size(bridged) * sizeof(std::uint64_t) ==
+                sizeof(service_counters));
   for (const auto& [name, cell] : bridged) {
     std::uint64_t sum = 0;
     for (const keyed_register_node* node : w.nodes)
@@ -199,6 +205,26 @@ TEST(QuorumService, TelemetryBridgesSumCountersAcrossNodes) {
   }
   EXPECT_GT(obs.counter_value("svc.set_entries_sent"), 0u);
   EXPECT_GT(obs.counter_value("svc.gossip_entries_sent"), 0u);
+
+  using sim_field = std::uint64_t sim_metrics::*;
+#define GQS_SIM_FIELD(f) {"sim." #f, &sim_metrics::f}
+  static constexpr std::pair<const char*, sim_field> sim_bridged[] = {
+      GQS_SIM_FIELD(messages_sent), GQS_SIM_FIELD(messages_delivered),
+      GQS_SIM_FIELD(dropped_disconnected),
+      GQS_SIM_FIELD(dropped_receiver_crashed), GQS_SIM_FIELD(timers_fired),
+      GQS_SIM_FIELD(events_processed), GQS_SIM_FIELD(bytes_sent),
+      GQS_SIM_FIELD(bytes_delivered), GQS_SIM_FIELD(dropped_queue_full)};
+#undef GQS_SIM_FIELD
+  // The one field not listed is the peak gauge, checked below.
+  static_assert((std::size(sim_bridged) + 1) * sizeof(std::uint64_t) ==
+                sizeof(sim_metrics));
+  const sim_metrics& m = w.sim.metrics();
+  for (const auto& [name, cell] : sim_bridged)
+    EXPECT_EQ(obs.counter_value(name), m.*cell) << name;
+  EXPECT_EQ(obs.gauge_level("sim.max_link_queue_depth"),
+            static_cast<std::int64_t>(m.max_link_queue_depth));
+  EXPECT_GT(obs.counter_value("sim.messages_delivered"), 0u);
+  EXPECT_GT(obs.counter_value("sim.events_processed"), 0u);
 }
 
 TEST(QuorumService, ReplicasConvergeAndKeyClocksTrack) {

@@ -187,6 +187,30 @@ TEST(Runner, AggregateFoldsChannelMetricsAndLinkBytes) {
   EXPECT_NE(json.find("\"link_bytes\": {\"count\": 3"), std::string::npos);
 }
 
+TEST(Runner, AggregateKeepsThePeakOfAPeakGauge) {
+  // sim.max_link_queue_depth is a peak: the aggregate's obs registry folds
+  // it by max across runs, as totals does, not by sum.
+  const auto run_with_peak = [](std::uint64_t depth) {
+    network_options net;
+    net.telemetry = true;
+    simulation sim(2, net, fault_plan::none(2), 1);
+    run_result r;
+    r.metrics.max_link_queue_depth = depth;
+    r.obs = sim.obs().metrics.snapshot();
+    bool found = false;
+    for (metric_row& row : r.obs.rows)
+      if (row.name == "sim.max_link_queue_depth") {
+        row.level = static_cast<std::int64_t>(depth);
+        found = true;
+      }
+    EXPECT_TRUE(found);
+    return r;
+  };
+  const run_aggregate a = aggregate({run_with_peak(7), run_with_peak(2)});
+  EXPECT_EQ(a.totals.max_link_queue_depth, 7u);
+  EXPECT_EQ(a.obs.gauge_level("sim.max_link_queue_depth"), 7);
+}
+
 namespace {
 
 /// A numpunct facet with a comma decimal separator — the shape of locale

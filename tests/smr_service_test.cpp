@@ -7,9 +7,11 @@
 // escalation as the liveness fallback).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/factories.hpp"
@@ -80,6 +82,42 @@ TEST(SmrService, CommitsAndConvergesOnFigure1) {
   for (service_key k = 0; k < 8; ++k)
     for (const smr_service* r : w.nodes)
       EXPECT_EQ(r->state_of(k), w.nodes[0]->state_of(k)) << "key " << k;
+}
+
+TEST(SmrService, TelemetryBridgesSumCountersAcrossNodes) {
+  // Every smr.* registry counter is the sum over processes of the
+  // matching counters() field; the size check fails the build when
+  // smr_counters grows a field this test does not list.
+  const auto fig = make_figure1();
+  network_options net = consensus_world::partial_sync();
+  net.telemetry = true;
+  smr_world w(fig.gqs, fault_plan::none(4), /*seed=*/2, /*keys=*/8, {}, net);
+  std::map<process_id, submit_batch> batches;
+  for (process_id p = 0; p < 4; ++p)
+    batches[p].fire(w.sim, w.nodes[p], p, 8, 6);
+  ASSERT_TRUE(
+      w.sim.run_until_condition([&] { return converged(w, 24); }, kLong));
+  const auto obs = w.sim.obs().metrics.snapshot();
+  using field = std::uint64_t smr_counters::*;
+#define GQS_SMR_FIELD(f) {"smr." #f, &smr_counters::f}
+  static constexpr std::pair<const char*, field> bridged[] = {
+      GQS_SMR_FIELD(commands_submitted), GQS_SMR_FIELD(commands_forwarded),
+      GQS_SMR_FIELD(commands_applied),   GQS_SMR_FIELD(commands_deduped),
+      GQS_SMR_FIELD(entries_proposed),   GQS_SMR_FIELD(entries_committed),
+      GQS_SMR_FIELD(phase1_rounds),      GQS_SMR_FIELD(targeted_phase1),
+      GQS_SMR_FIELD(targeted_phase2),    GQS_SMR_FIELD(escalations),
+      GQS_SMR_FIELD(view_changes),       GQS_SMR_FIELD(heartbeats),
+      GQS_SMR_FIELD(retries)};
+#undef GQS_SMR_FIELD
+  static_assert(std::size(bridged) * sizeof(std::uint64_t) ==
+                sizeof(smr_counters));
+  for (const auto& [name, cell] : bridged) {
+    std::uint64_t sum = 0;
+    for (const smr_service* node : w.nodes) sum += node->counters().*cell;
+    EXPECT_EQ(obs.counter_value(name), sum) << name;
+  }
+  EXPECT_EQ(obs.counter_value("smr.commands_applied"), 4u * 24u);
+  EXPECT_GT(obs.counter_value("smr.entries_committed"), 0u);
 }
 
 TEST(SmrService, IsolatedReplicaLearnsNothingUnderF1) {
