@@ -8,9 +8,11 @@
 // and the flooding layer then answer alive / channel-up / reachability
 // queries with O(1) table lookups instead of re-deriving them per event.
 //
-// Monotonicity also gives the flooding layer a pruning rule: the residual
-// reachability of any future epoch is a subset of the current one, so a
-// destination unreachable *now* is unreachable *forever*.
+// Monotonicity also gives the flooding layer its pruning rules: every
+// future epoch's residual graph is a subgraph of the current one, so a
+// destination unreachable *now* is unreachable *forever*, and a neighbor
+// whose every path to a destination runs through the forwarder stays that
+// way (sim/flooding.hpp).
 #pragma once
 
 #include <cstddef>

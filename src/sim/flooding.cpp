@@ -63,33 +63,69 @@ void flooding_node::flood_multicast(process_set dests, message_ptr payload) {
   for (process_id d : dests - direct) originate(d, payload);
 }
 
-bool flooding_node::mark_seen(process_id origin, std::uint64_t seq) {
-  if (seen_.size() <= origin) seen_.resize(system_size());
-  return seen_[origin].mark(seq);
+bool flooding_node::mark_seen(const envelope& env) {
+  // This process's own envelopes were never marked: one that comes back
+  // is always a duplicate.
+  if (env.origin == id()) return false;
+  if (env.dest == to_all) {
+    if (seen_.size() <= env.origin) seen_.resize(system_size());
+    return seen_[env.origin].mark(env.seq);
+  }
+  if (unicast_seen_.size() <= env.dest) unicast_seen_.resize(system_size());
+  std::vector<sequence_filter>& row = unicast_seen_[env.dest];
+  if (row.empty()) row.resize(system_size());
+  return row[env.origin].mark(env.seq);
+}
+
+const process_set& flooding_node::next_hops(process_id dest) {
+  const std::size_t e = sim().current_epoch();
+  if (e != hops_epoch_) {
+    const connectivity_epochs& ep = sim().epochs();
+    next_hops_.assign(system_size(), process_set{});
+    if (ep.alive(e, id())) {
+      // q is worth a copy for d iff q reaches d without passing through
+      // this process: q is an up, live neighbor that can reach d in the
+      // residual graph with this process removed.
+      const process_set neighbors = ep.up_out_channels(e, id()) & ep.alive(e);
+      digraph rest = ep.residual(e);
+      rest.remove_vertices(process_set::singleton(id()));
+      for (process_id d : rest.present())
+        next_hops_[d] = rest.reaching(d) & neighbors;
+    }
+    hops_epoch_ = e;
+  }
+  return next_hops_[dest];
 }
 
 void flooding_node::originate(process_id dest, message_ptr payload) {
-  // Resolve the unreachable-destination drop BEFORE consuming a sequence
-  // number: a seq that is never flooded would leave a permanent gap in
-  // every peer's dedup filter, pinning their out-of-order buffers
-  // forever. Monotone failures make the drop final either way.
-  if (dest != to_all && dest != id() &&
-      !sim().epochs().reachable(sim().current_epoch(), id()).contains(dest))
+  if (dest == id()) {
+    // A process trivially reaches itself: nothing goes on the wire.
+    sim().post(id(), [this, payload] { on_deliver(id(), payload); });
     return;
-  auto env = std::make_shared<envelope>(id(), next_seq_++, dest,
-                                        std::move(payload));
-  env->type_tag = message_tag_of<envelope>();
-  mark_seen(env->origin, env->seq);
-  // Local delivery first (a process trivially "reaches" itself).
-  if (dest == to_all || dest == id()) {
-    sim().post(id(), [this, env] { on_deliver(env->origin, env->payload); });
   }
+  std::uint64_t seq = 0;
+  if (dest == to_all) {
+    seq = next_seq_++;
+  } else {
+    // Resolve the unreachable-destination drop BEFORE consuming a sequence
+    // number: a seq that is never sent would leave a permanent gap in the
+    // (origin, dest) stream of every process on the way. Monotone failures
+    // make the drop final either way.
+    if (next_hops(dest).empty()) return;
+    if (next_unicast_seq_.empty()) next_unicast_seq_.resize(system_size());
+    seq = next_unicast_seq_[dest]++;
+  }
+  auto env = std::make_shared<envelope>(id(), seq, dest, std::move(payload));
+  env->type_tag = message_tag_of<envelope>();
+  // Local delivery first (a process trivially "reaches" itself).
+  if (dest == to_all)
+    sim().post(id(), [this, env] { on_deliver(env->origin, env->payload); });
   forward(env, id());
 }
 
 void flooding_node::handle(process_id from,
                            const std::shared_ptr<const envelope>& env) {
-  if (!mark_seen(env->origin, env->seq)) return;
+  if (!mark_seen(*env)) return;
   // Forward once (not back to the immediate sender; duplicates are
   // filtered by the receivers' dedup state anyway).
   forward(env, from);
@@ -99,19 +135,20 @@ void flooding_node::handle(process_id from,
 
 void flooding_node::forward(const std::shared_ptr<const envelope>& env,
                             process_id skip) {
-  const connectivity_epochs& ep = sim().epochs();
-  const std::size_t e = sim().current_epoch();
-  // Early drop: reachability only shrinks across epochs, so a destination
-  // outside this process's current reachable set can never be reached by
-  // any copy forwarded from here, now or later.
-  if (env->dest != to_all && env->dest != id() &&
-      !ep.reachable(e, id()).contains(env->dest))
-    return;
-  // Forward only over up channels to live processes: a send on a downed
-  // channel is dropped at the channel, one to a crashed process is dropped
-  // at delivery, and a crashed process forwards nothing — skipping both
-  // changes no delivery.
-  process_set targets = ep.up_out_channels(e, id()) & ep.alive(e);
+  // A broadcast goes over every up channel to a live process: a send on a
+  // downed channel is dropped at the channel, one to a crashed process is
+  // dropped at delivery, and a crashed process forwards nothing, so
+  // skipping both changes no delivery. A point-to-point envelope goes only
+  // to the neighbors that still lead to its destination (empty once the
+  // destination is unreachable from here, or is this process).
+  process_set targets;
+  if (env->dest == to_all) {
+    const connectivity_epochs& ep = sim().epochs();
+    const std::size_t e = sim().current_epoch();
+    targets = ep.up_out_channels(e, id()) & ep.alive(e);
+  } else {
+    targets = next_hops(env->dest);
+  }
   for (process_id q : targets)
     if (q != skip) send(q, env);
 }

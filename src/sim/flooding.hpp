@@ -8,14 +8,33 @@
 // payload reaches every process connected to its origin by a directed path
 // of correct channels.
 //
-// Two engine-level optimizations, both sound because failures are
-// monotone (a downed channel never comes back):
+// Three engine-level optimizations, all sound because failures are
+// monotone (a downed channel never comes back, so every later epoch's
+// residual graph is a subgraph of the current one):
 //  * envelopes are forwarded only over channels that are up in the current
 //    connectivity epoch — a send on a downed channel is guaranteed to be
 //    dropped, so skipping it changes no delivery;
 //  * a point-to-point envelope whose destination is outside the current
 //    residual reachability of the forwarder is dropped early — it can
-//    never be delivered in this epoch or any later one.
+//    never be delivered in this epoch or any later one;
+//  * a point-to-point envelope for d is relayed by x to a neighbor q only
+//    if q == d or d is reachable from q in the current residual graph with
+//    x removed. A copy sent to q reaches d only along a path from q; if
+//    every such path (in this epoch, hence in every later one) passes
+//    through x, the copy can only come back to x, which has already seen
+//    it. So d receives the same copies at the same times, and the pruned
+//    processes never see the envelope at all. On a star, a leaf-to-leaf
+//    unicast costs two messages instead of a flood through the hub, and
+//    the destination itself relays nothing.
+//
+// Because of the third rule, processes off every path to d never see an
+// (origin, d) envelope, so point-to-point envelopes cannot share the
+// origin's broadcast sequence space (every pruned process would keep a
+// permanent gap). Each (origin, dest) pair has its own sequence space and
+// its own lazily allocated dedup filter instead. Within one epoch every
+// envelope of a pair reaches the same set of processes, so each stream
+// stays gap-free. Broadcasts use the per-origin space and go over every
+// up channel, since every live process is one of their destinations.
 //
 // Protocols built on flooding_node use flood_send / flood_broadcast and
 // receive payloads through on_deliver(origin, payload); they never see the
@@ -81,6 +100,8 @@ class flooding_node : public node {
   std::size_t dedup_backlog() const {
     std::size_t total = 0;
     for (const sequence_filter& f : seen_) total += f.backlog();
+    for (const std::vector<sequence_filter>& row : unicast_seen_)
+      for (const sequence_filter& f : row) total += f.backlog();
     return total;
   }
 
@@ -99,9 +120,10 @@ class flooding_node : public node {
   /// Sends payload to exactly the members of `dests` (which may include
   /// the sender), preferring one *direct* physical message per member —
   /// the targeted (non-broadcast) quorum-access fast path. A destination
-  /// whose direct channel is already down falls back to a flooded unicast
-  /// (routed around failures); an unreachable one is dropped, exactly as
-  /// flood_send would. Direct messages bypass the envelope/dedup machinery
+  /// whose direct channel is already down falls back to a relayed unicast
+  /// (flood_send: it travels only along the paths that still lead to the
+  /// destination); an unreachable one is dropped, exactly as flood_send
+  /// would. Direct messages bypass the envelope/dedup machinery
   /// entirely: a physical channel delivers at most once, and nobody
   /// forwards them, so they consume no flooding sequence numbers and leave
   /// no gaps in any peer's dedup filter. Cost over healthy channels is
@@ -150,11 +172,24 @@ class flooding_node : public node {
   /// Forwards env to every neighbor worth reaching (see file comment),
   /// except `skip` (the immediate sender, or this process on origination).
   void forward(const std::shared_ptr<const envelope>& env, process_id skip);
-  /// Marks (origin, seq) seen; true iff it is new.
-  bool mark_seen(process_id origin, std::uint64_t seq);
+  /// Marks env's (origin, seq) seen in its sequence space; true iff new.
+  bool mark_seen(const envelope& env);
+  /// The neighbors worth relaying a point-to-point envelope for `dest` to
+  /// in the current epoch (the third pruning rule); empty iff `dest` is
+  /// this process or unreachable from here. Rebuilt on the first call in
+  /// each new epoch.
+  const process_set& next_hops(process_id dest);
 
-  std::uint64_t next_seq_ = 0;
-  std::vector<sequence_filter> seen_;  // indexed by origin
+  std::uint64_t next_seq_ = 0;  // broadcast sequence space
+  std::vector<std::uint64_t> next_unicast_seq_;  // indexed by dest
+  std::vector<sequence_filter> seen_;  // broadcasts, indexed by origin
+  // Point-to-point streams, indexed [dest][origin]; a row is allocated the
+  // first time this process relays or receives an envelope for that dest.
+  std::vector<std::vector<sequence_filter>> unicast_seen_;
+  // next_hops_[d] for epoch hops_epoch_ (npos: not built yet). Per node,
+  // never shared: runner threads run whole simulations independently.
+  std::size_t hops_epoch_ = static_cast<std::size_t>(-1);
+  std::vector<process_set> next_hops_;
 };
 
 }  // namespace gqs

@@ -7,6 +7,7 @@
 
 #include "core/factories.hpp"
 #include "sim/time.hpp"
+#include "workload/topologies.hpp"
 
 namespace gqs {
 namespace {
@@ -301,6 +302,214 @@ TEST(Flooding, EarlyDropConsumesNoSequenceNumber) {
   EXPECT_EQ(w.nodes[1]->delivered.size(), 40u);
   for (auto* n : w.nodes)
     EXPECT_EQ(n->dedup_backlog(), 0u) << "gap pinned the dedup buffer";
+}
+
+// An n-process star around hub 0: every leaf-to-leaf channel is down from
+// the start, so leaves talk to each other only through the hub.
+fault_plan star_plan(process_id n) {
+  fault_plan faults = fault_plan::none(n);
+  for (process_id u = 1; u < n; ++u)
+    for (process_id v = 1; v < n; ++v)
+      if (u != v) faults.disconnect(u, v, 0);
+  return faults;
+}
+
+TEST(Flooding, StarRelaysUnicastsOnlyTowardTheirDestination) {
+  flood_world w(8, star_plan(8));
+  // Physical messages one action costs once the network is quiet again.
+  auto cost = [&](auto&& action) {
+    const auto before = w.sim.metrics().messages_sent;
+    action();
+    w.sim.run_until(w.sim.now() + 1_s);
+    return w.sim.metrics().messages_sent - before;
+  };
+  // Leaf to leaf: one hop in, one hop out. The hub does not fan the
+  // unicast out to the other leaves, and the destination relays nothing.
+  EXPECT_EQ(cost([&] { w.nodes[3]->send_to(5, 1); }), 2u);
+  EXPECT_EQ(cost([&] { w.nodes[3]->send_to(0, 2); }), 1u);  // leaf to hub
+  EXPECT_EQ(cost([&] { w.nodes[0]->send_to(6, 3); }), 1u);  // hub to leaf
+  EXPECT_EQ(cost([&] { w.nodes[4]->send_to(4, 4); }), 0u);  // to self
+  // Broadcasts still flood: leaf to hub, hub to the six other leaves.
+  EXPECT_EQ(cost([&] { w.nodes[3]->broadcast_value(5); }), 7u);
+
+  auto values = [&](process_id p) {
+    std::vector<int> got;
+    for (const auto& r : w.nodes[p]->delivered) got.push_back(r.value);
+    return got;
+  };
+  EXPECT_EQ(values(0), (std::vector<int>{2, 5}));
+  EXPECT_EQ(values(3), (std::vector<int>{5}));
+  EXPECT_EQ(values(4), (std::vector<int>{4, 5}));
+  EXPECT_EQ(values(5), (std::vector<int>{1, 5}));
+  EXPECT_EQ(values(6), (std::vector<int>{3, 5}));
+  for (process_id p : {1u, 2u, 7u}) EXPECT_EQ(values(p), (std::vector<int>{5}));
+}
+
+TEST(Flooding, StarUnicastStreamsStayGapFree) {
+  // Unicasts that only the hub and their destination see must not take
+  // numbers from the broadcast stream the other leaves dedup: interleave
+  // both kinds from one leaf and every dedup filter must end gap-free.
+  flood_world w(8, star_plan(8));
+  for (int i = 0; i < 40; ++i) {
+    if (i % 2 == 0) {
+      w.nodes[3]->send_to(static_cast<process_id>((i / 2) % 8), i);
+    } else {
+      w.nodes[3]->broadcast_value(i);
+    }
+  }
+  w.sim.run_until(10_s);
+  for (process_id p = 0; p < 8; ++p) {
+    std::size_t expected = 20;  // every broadcast
+    for (int i = 0; i < 40; i += 2)
+      if (static_cast<process_id>((i / 2) % 8) == p) ++expected;
+    EXPECT_EQ(w.nodes[p]->delivered.size(), expected) << "process " << p;
+    EXPECT_EQ(w.nodes[p]->dedup_backlog(), 0u) << "process " << p;
+  }
+}
+
+// The corpus families the relay property runs over: every kind except the
+// clique (n <= 64), whose residuals leave nothing to prune.
+std::vector<scenario_family> relay_corpus() {
+  std::vector<scenario_family> families;
+  for (scenario_family& fam : topology_corpus(64))
+    if (fam.params.topology.kind != topology_kind::clique)
+      families.push_back(std::move(fam));
+  return families;
+}
+
+struct unicast_sent {
+  process_id origin;
+  process_id dest;
+  bool must_arrive;  // sent in the last epoch to a reachable destination
+};
+
+// Checks every receipt in `w` against `sent` (values are indexes into it):
+// a unicast arrives only at its destination, from its origin, at most once.
+// Returns how often each unicast arrived.
+std::vector<int> unicast_arrivals(const flood_world& w,
+                                  const std::vector<unicast_sent>& sent) {
+  std::vector<int> arrivals(sent.size(), 0);
+  for (process_id p = 0; p < w.nodes.size(); ++p)
+    for (const auto& r : w.nodes[p]->delivered) {
+      if (r.value < 0) continue;  // a broadcast
+      const unicast_sent& s = sent.at(static_cast<std::size_t>(r.value));
+      EXPECT_EQ(p, s.dest) << "unicast " << r.value << " leaked";
+      EXPECT_EQ(r.origin, s.origin) << "unicast " << r.value;
+      ++arrivals[static_cast<std::size_t>(r.value)];
+    }
+  return arrivals;
+}
+
+TEST(FloodingProperty, UnicastsArriveExactlyWhereReachableUnderInitialFaults) {
+  std::uint64_t seed = 1;
+  for (const scenario_family& fam : relay_corpus()) {
+    SCOPED_TRACE(fam.name);
+    std::mt19937_64 rng(++seed);
+    const digraph net = make_topology(fam.params.topology);
+    const failure_pattern f =
+        scenario_failure_pattern(net, fam.params, rng);
+    const process_id n = net.vertex_count();
+    flood_world w(n, fault_plan::from_pattern(f, 0), seed);
+    const connectivity_epochs& ep = w.sim.epochs();
+
+    // Three unicasts and one broadcast (negative value) per live process,
+    // interleaved; destinations are uniform, self and unreachable included.
+    std::vector<unicast_sent> sent;
+    for (process_id o = 0; o < n; ++o) {
+      if (!ep.alive(0, o)) continue;
+      for (int k = 0; k < 3; ++k) {
+        const auto d = static_cast<process_id>(rng() % n);
+        sent.push_back({o, d, ep.reachable(0, o).contains(d)});
+        w.nodes[o]->send_to(d, static_cast<int>(sent.size() - 1));
+        if (k == 1) w.nodes[o]->broadcast_value(-1 - static_cast<int>(o));
+      }
+    }
+    w.sim.run_until(60_s);
+    ASSERT_TRUE(w.sim.idle_before(3600_s));
+
+    const std::vector<int> arrivals = unicast_arrivals(w, sent);
+    for (std::size_t i = 0; i < sent.size(); ++i)
+      EXPECT_EQ(arrivals[i], sent[i].must_arrive ? 1 : 0)
+          << "unicast " << i << ": " << sent[i].origin << " -> "
+          << sent[i].dest;
+    for (process_id p = 0; p < n; ++p) {
+      std::size_t broadcasts = 0;
+      for (const auto& r : w.nodes[p]->delivered) broadcasts += r.value < 0;
+      std::size_t expected = 0;
+      for (process_id o = 0; o < n; ++o)
+        expected += ep.alive(0, o) && ep.reachable(0, o).contains(p);
+      EXPECT_EQ(broadcasts, expected) << "process " << p;
+      EXPECT_EQ(w.nodes[p]->dedup_backlog(), 0u) << "process " << p;
+    }
+  }
+}
+
+TEST(FloodingProperty, MidRunCutsNeverDuplicateAndSpareLateUnicasts) {
+  std::uint64_t seed = 100;
+  std::size_t late = 0;  // unicasts that must arrive, across all families
+  for (const scenario_family& fam : relay_corpus()) {
+    SCOPED_TRACE(fam.name);
+    std::mt19937_64 rng(++seed);
+    const digraph net = make_topology(fam.params.topology);
+    const failure_pattern f =
+        scenario_failure_pattern(net, fam.params, rng);
+    const process_id n = net.vertex_count();
+
+    // Monotone cuts on top of the pattern: about one surviving channel in
+    // eight goes down, and one correct process crashes, at seeded instants
+    // inside the first 60 ms (while traffic is in flight).
+    fault_plan plan = fault_plan::from_pattern(f, 0);
+    const digraph residual = connectivity_epochs(plan).residual(0);
+    std::uniform_int_distribution<sim_time> when(1_ms, 60_ms);
+    for (const edge& e : residual.edges())
+      if (rng() % 8 == 0) plan.disconnect(e.from, e.to, when(rng));
+    const auto victim = static_cast<process_id>(rng() % n);
+    const sim_time crash_at = when(rng);
+    if (!plan.crash_time(victim)) plan.crash(victim, crash_at);
+
+    flood_world w(n, plan, seed);
+    const connectivity_epochs& ep = w.sim.epochs();
+    const std::size_t last = ep.epoch_count() - 1;
+
+    // Four unicasts per process at seeded instants across 0..120 ms, so
+    // some are sent before, during and after the cuts.
+    struct planned {
+      sim_time at;
+      process_id origin;
+      process_id dest;
+    };
+    std::vector<planned> script;
+    std::uniform_int_distribution<sim_time> at(0, 120_ms);
+    for (process_id o = 0; o < n; ++o)
+      for (int k = 0; k < 4; ++k)
+        script.push_back({at(rng), o, static_cast<process_id>(rng() % n)});
+    std::sort(script.begin(), script.end(),
+              [](const planned& a, const planned& b) { return a.at < b.at; });
+
+    std::vector<unicast_sent> sent;
+    for (const planned& s : script) {
+      w.sim.run_until(s.at);
+      if (!w.sim.alive(s.origin)) continue;
+      const std::size_t e = w.sim.current_epoch();
+      const bool must = e == last && ep.reachable(e, s.origin).contains(s.dest);
+      late += must;
+      sent.push_back({s.origin, s.dest, must});
+      w.nodes[s.origin]->send_to(s.dest, static_cast<int>(sent.size() - 1));
+    }
+    w.sim.run_until(60_s);
+    ASSERT_TRUE(w.sim.idle_before(3600_s));
+
+    const std::vector<int> arrivals = unicast_arrivals(w, sent);
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      EXPECT_LE(arrivals[i], 1) << "unicast " << i << " delivered twice";
+      if (sent[i].must_arrive) {
+        EXPECT_EQ(arrivals[i], 1)
+            << "unicast " << i << ": " << sent[i].origin << " -> "
+            << sent[i].dest << " sent after the last cut";
+      }
+    }
+  }
+  EXPECT_GT(late, 0u);
 }
 
 }  // namespace

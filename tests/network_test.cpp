@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <random>
 
+#include "sim/flooding.hpp"
 #include "sim/network.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulation.hpp"
@@ -287,13 +288,73 @@ run_result congested_cell(std::uint64_t seed) {
   return r;
 }
 
-// The queueing model is per-simulation state, so runner results must stay
-// bit-identical for any worker count, congestion or not.
+// A flooding node whose unicasts go through its per-node relay tables.
+class relay_node : public flooding_node {
+ public:
+  double digest = 0;
+  using flooding_node::flood_broadcast;
+  using flooding_node::flood_send;
+
+ protected:
+  void on_deliver(process_id origin, const message_ptr&) override {
+    digest += static_cast<double>(now()) * (origin + 1);
+  }
+};
+
+// A congested six-process star around hub 0 whose leaves unicast to each
+// other through the hub; the hub's channel to leaf 5 goes down mid-run, so
+// every relaying node rebuilds its tables for a second epoch.
+run_result congested_relay_cell(std::uint64_t seed) {
+  constexpr process_id n = 6;
+  network_options net;
+  net.channel.bytes_per_us = 0.05;
+  net.channel.queue_capacity = 8;
+  fault_plan faults = fault_plan::none(n);
+  for (process_id u = 1; u < n; ++u)
+    for (process_id v = 1; v < n; ++v)
+      if (u != v) faults.disconnect(u, v, 0);
+  faults.disconnect(0, 5, 20_ms);
+  simulation sim(n, net, std::move(faults), seed);
+  std::vector<relay_node*> nodes;
+  for (process_id p = 0; p < n; ++p) {
+    auto nd = std::make_unique<relay_node>();
+    nodes.push_back(nd.get());
+    sim.set_node(p, std::move(nd));
+  }
+  sim.start();
+  for (int round = 0; round < 40; ++round) {
+    for (process_id p = 1; p < n; ++p) {
+      nodes[p]->flood_send(1 + (p + static_cast<process_id>(round)) % (n - 1),
+                           make_message<probe_msg>(round, 64));
+      if (round % 8 == 0)
+        nodes[p]->flood_broadcast(make_message<probe_msg>(round, 64));
+    }
+    sim.run_until(sim.now() + 1_ms);
+  }
+  sim.run_until(1_s);
+
+  run_result r;
+  r.metrics = sim.metrics();
+  r.sim_end = sim.now();
+  r.link_bytes = sim.channels().per_link_bytes();
+  double deliver_digest = 0;
+  for (const relay_node* nd : nodes) deliver_digest += nd->digest;
+  r.stats["deliver_digest"] = deliver_digest;
+  return r;
+}
+
+// The queueing model and the flooding relay tables are per-simulation
+// state, so runner results must stay bit-identical for any worker count,
+// congestion or not.
 TEST(Network, RunnerDeterministicAcrossThreadCountsUnderCongestion) {
   std::vector<run_spec> specs;
-  for (std::uint64_t s = 0; s < 6; ++s)
+  for (std::uint64_t s = 0; s < 6; ++s) {
     specs.push_back({"congested-" + std::to_string(s),
                      [s] { return congested_cell(grid_seed(11, 0, 0, s)); }});
+    specs.push_back({"congested-relay-" + std::to_string(s), [s] {
+                       return congested_relay_cell(grid_seed(11, 0, 1, s));
+                     }});
+  }
 
   const auto one = experiment_runner(1).run_all(specs);
   const auto two = experiment_runner(2).run_all(specs);
@@ -302,6 +363,7 @@ TEST(Network, RunnerDeterministicAcrossThreadCountsUnderCongestion) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(one[i].ok);
     EXPECT_GT(one[i].metrics.dropped_queue_full, 0u) << "not congested";
+    EXPECT_GT(one[i].stats.at("deliver_digest"), 0) << "nothing delivered";
     for (const auto* other : {&two[i], &eight[i]}) {
       EXPECT_EQ(one[i].metrics, other->metrics) << specs[i].label;
       EXPECT_EQ(one[i].sim_end, other->sim_end) << specs[i].label;
