@@ -7,8 +7,6 @@ namespace gqs {
 void service_options::validate() const {
   if (gossip_period <= 0)
     throw std::invalid_argument("quorum_service: bad gossip period");
-  if (nack_gap_ticks < 1)
-    throw std::invalid_argument("quorum_service: bad nack gap");
   if (escalation_timeout < 0)
     throw std::invalid_argument("quorum_service: bad escalation timeout");
 }

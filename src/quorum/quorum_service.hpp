@@ -70,8 +70,6 @@ struct service_options {
   /// qaf_ablation.hpp. MUST stay true in supported use.
   bool use_get_cutoff = true;
   bool use_set_confirmation = true;
-  /// Gossip ticks a stream gap may persist before the receiver NACKs it.
-  int nack_gap_ticks = 2;
   /// Strategy-driven targeted access (strategy/selector.hpp): when set,
   /// the CLOCK probe and SET batch of every flush group go only to the
   /// members of a sampled write quorum (one direct message each), and
@@ -79,11 +77,11 @@ struct service_options {
   /// flooded-unicast replies. Null keeps broadcast behavior unchanged.
   selector_ptr selector;
   /// With a selector: delay before a flush group that still lacks write-
-  /// quorum coverage is rebroadcast to all (restoring the seed path, so
-  /// liveness under F is unchanged). 0 disables escalation — ONLY for the
+  /// quorum coverage is rebroadcast to all (component::send_targeted), so
+  /// liveness under F is unchanged. 0 disables escalation — ONLY for the
   /// mutation tests: with no fallback, a flush group whose sampled quorum
   /// the failure pattern disconnects hangs forever.
-  sim_time escalation_timeout = 40000;  // 40 ms
+  sim_time escalation_timeout = kEscalationTimeout;
 
   void validate() const;
 };
@@ -375,7 +373,8 @@ class quorum_service : public component {
       gossip_timer_ = this->set_timer(options_.gossip_period);
       return;
     }
-    escalate(timer_id);
+    this->escalation_due(timer_id, counters_.escalations, "svc.escalate",
+                         "svc");
   }
 
   void deliver(process_id origin, const message_ptr& payload) override {
@@ -418,7 +417,8 @@ class quorum_service : public component {
     quorum_response_collector<std::uint64_t> clock_acks;
     bool have_cutoff = false;
     std::uint64_t cutoff = 0;
-    span_ref span;  // open from flush until the group completes
+    message_ptr wire;  // targeted mode: the probe, kept for escalation
+    span_ref span;     // open from flush until the group completes
   };
   /// All quorum_sets flushed in one instant: one wire batch, one ack
   /// stream; the shared cutoff (max clock after the whole batch) is ≥
@@ -509,9 +509,10 @@ class quorum_service : public component {
         stamp_trace_span(probe, g.span);
         if (options_.selector) {
           ++counters_.targeted_probes;
-          this->multicast(sample_targets(/*is_get=*/true, req),
-                          std::move(probe));
-          arm_escalation(/*is_get=*/true, req);
+          g.wire = probe;
+          this->send_targeted(
+              sample_targets(/*is_get=*/true, req), std::move(probe),
+              options_.escalation_timeout, req * 2);
         } else {
           this->broadcast(std::move(probe));
         }
@@ -544,10 +545,10 @@ class quorum_service : public component {
       stamp_trace_span(wire, g.span);
       if (options_.selector) {
         ++counters_.targeted_set_batches;
-        g.wire = wire;  // for a possible escalation rebroadcast
-        this->multicast(sample_targets(/*is_get=*/false, batch),
-                        std::move(wire));
-        arm_escalation(/*is_get=*/false, batch);
+        g.wire = wire;
+        this->send_targeted(
+            sample_targets(/*is_get=*/false, batch), std::move(wire),
+            options_.escalation_timeout, batch * 2 + 1);
       } else {
         this->broadcast(std::move(wire));
       }
@@ -567,42 +568,17 @@ class quorum_service : public component {
     return targets;
   }
 
-  void arm_escalation(bool is_get, std::uint64_t group_seq) {
-    if (options_.escalation_timeout <= 0) return;  // mutation switch
-    escalations_[this->set_timer(options_.escalation_timeout)] = {
-        is_get, group_seq};
-  }
-
-  /// A targeted flush group outlived its escalation timeout without
-  /// write-quorum coverage: fall back to the seed's full broadcast.
-  /// Receivers tolerate the duplicate delivery (the collector ignores
-  /// repeat acks; SET entries merge by version, so re-application is a
-  /// no-op) and the broadcast reaches everything flooding can — liveness
-  /// under F is exactly the broadcast engine's.
-  void escalate(int timer_id) {
-    const auto it = escalations_.find(timer_id);
-    if (it == escalations_.end()) return;
-    const auto [is_get, group_seq] = it->second;
-    escalations_.erase(it);
-    if (is_get) {
-      const auto g = get_groups_.find(group_seq);
-      if (g == get_groups_.end() || g->second.have_cutoff) return;
-      ++counters_.escalations;
-      if (tracer_)
-        tracer_->leaf("svc.escalate", "svc", this->id(), g->second.span,
-                      this->now());
-      message_ptr probe = make_message<probe_msg>(group_seq);
-      stamp_trace_span(probe, g->second.span);
-      this->broadcast(std::move(probe));
-    } else {
-      const auto g = set_groups_.find(group_seq);
-      if (g == set_groups_.end() || g->second.have_cutoff) return;
-      ++counters_.escalations;
-      if (tracer_)
-        tracer_->leaf("svc.escalate", "svc", this->id(), g->second.span,
-                      this->now());
-      this->broadcast(g->second.wire);
-    }
+  /// Escalation round 2·seq is get group seq, 2·seq + 1 set group seq: its
+  /// wire while the group lacks its cutoff. Receivers tolerate the
+  /// duplicate: the collector ignores repeat acks, SET entries merge by
+  /// version.
+  message_ptr pending_wire(std::uint64_t round) const override {
+    const auto uncovered = [&](const auto& groups) -> message_ptr {
+      const auto g = groups.find(round / 2);
+      return g == groups.end() || g->second.have_cutoff ? nullptr
+                                                        : g->second.wire;
+    };
+    return round % 2 ? uncovered(set_groups_) : uncovered(get_groups_);
   }
 
   void gossip_tick() {
@@ -634,7 +610,7 @@ class quorum_service : public component {
         s.gap_ticks = 0;
         continue;
       }
-      if (++s.gap_ticks < options_.nack_gap_ticks) continue;
+      if (++s.gap_ticks < kNackGapTicks) continue;
       s.gap_ticks = 0;
       ++counters_.nacks_sent;
       if (tracer_)
@@ -772,6 +748,8 @@ class quorum_service : public component {
   }
 
   static constexpr std::size_t kRepairRing = 64;
+  /// Gossip ticks a stream gap may persist before the receiver NACKs it.
+  static constexpr int kNackGapTicks = 2;
 
   service_key keys_;
   quorum_config config_;
@@ -795,7 +773,6 @@ class quorum_service : public component {
   std::vector<gossip_stream> streams_;                // per origin
   std::vector<std::vector<state_type>> cache_;        // [origin][key]
   std::vector<std::uint64_t> quorum_hits_;            // realized targeting
-  std::map<int, std::pair<bool, std::uint64_t>> escalations_;  // timer → grp
 
   std::vector<staged_get> staged_gets_;
   std::vector<staged_set> staged_sets_;

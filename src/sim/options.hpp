@@ -56,7 +56,8 @@ struct network_options {
 /// process takes no further steps from its crash time on; a disconnected
 /// channel drops every message sent at or after its disconnect time
 /// (messages already in flight are still delivered — the paper's
-/// "from some point on it drops all messages sent through it").
+/// "from some point on it drops all messages sent through it"). Failures
+/// are monotone: failing an element twice keeps the earlier time.
 class fault_plan {
  public:
   explicit fault_plan(process_id n)
@@ -89,14 +90,15 @@ class fault_plan {
 
   void crash(process_id p, sim_time at) {
     check(p);
-    crash_at_[p] = at;
+    crash_at_[p] = std::min(crash_at_[p].value_or(at), at);
   }
 
   void disconnect(process_id from, process_id to, sim_time at) {
     check(from);
     check(to);
     if (from == to) throw std::invalid_argument("fault_plan: self-loop");
-    disconnect_at_[from][to] = at;
+    disconnect_at_[from][to] =
+        std::min(disconnect_at_[from][to].value_or(at), at);
   }
 
   std::optional<sim_time> crash_time(process_id p) const {

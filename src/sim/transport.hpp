@@ -10,6 +10,8 @@
 // registers [2], lattice agreement from snapshots [11]).
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -44,6 +46,9 @@ class transport {
   /// instruments and open spans through it.
   virtual obs_bundle* obs() const { return nullptr; }
 };
+
+/// Default patience of a targeted round before it escalates to broadcast.
+inline constexpr sim_time kEscalationTimeout = 40000;  // 40 ms
 
 /// A protocol building block, bound to a transport by its host.
 class component {
@@ -80,6 +85,39 @@ class component {
   }
   int set_timer(sim_time delay) { return tr().set_timer(delay); }
 
+  /// Targeted send with the broadcast fallback that keeps the paper's
+  /// liveness under F: multicasts `wire` to `targets`, then (timeout > 0)
+  /// arms one escalation timer for `round`, an id the owner chooses. 0
+  /// disables escalation — ONLY for mutation tests: a round whose targets
+  /// the failure pattern cuts off then hangs.
+  void send_targeted(process_set targets, message_ptr wire, sim_time timeout,
+                     std::uint64_t round) {
+    multicast(std::move(targets), std::move(wire));
+    if (timeout > 0) escalations_.emplace(set_timer(timeout), round);
+  }
+
+  /// Asked when the escalation timer of `round` fires: the round's current
+  /// wire to rebroadcast, or nullptr once the round is decided.
+  virtual message_ptr pending_wire(std::uint64_t) const { return nullptr; }
+
+  /// True iff `timer_id` was armed by send_targeted. If its round is still
+  /// pending, counts it in `escalations`, records a `span_name` leaf under
+  /// the wire's span and broadcasts the wire, which reaches everything
+  /// flooding can. Receivers must tolerate the duplicate delivery.
+  bool escalation_due(int timer_id, std::uint64_t& escalations,
+                      const char* span_name, const char* category) {
+    const auto it = escalations_.find(timer_id);
+    if (it == escalations_.end()) return false;
+    const message_ptr wire = pending_wire(it->second);
+    escalations_.erase(it);
+    if (!wire) return true;
+    ++escalations;
+    if (obs_bundle* o = obs())
+      o->tracer.leaf(span_name, category, id(), wire->trace_span, now());
+    broadcast(wire);
+    return true;
+  }
+
   /// Null-safe observability accessor (nullptr before bind() too).
   obs_bundle* obs() const { return tr_ ? tr_->obs() : nullptr; }
 
@@ -89,6 +127,7 @@ class component {
     return *tr_;
   }
   transport* tr_ = nullptr;
+  std::map<int, std::uint64_t> escalations_;  // timer → targeted round
 };
 
 /// Simulation node hosting exactly one component. Object facades that

@@ -12,7 +12,7 @@ namespace gqs {
 void smr_options::validate() const {
   if (shards == 0 || shards > 4096)
     throw std::invalid_argument("smr_service: bad shard count");
-  if (lease_duration <= 0 || lease_backoff_unit < 0)
+  if (lease_duration <= 0)
     throw std::invalid_argument("smr_service: bad lease parameters");
   if (heartbeat_period <= 0 || heartbeat_period >= lease_duration)
     throw std::invalid_argument(
@@ -23,8 +23,6 @@ void smr_options::validate() const {
     throw std::invalid_argument("smr_service: bad batch cap");
   if (resubmit_timeout <= 0)
     throw std::invalid_argument("smr_service: bad resubmit timeout");
-  if (escalation_timeout < 0)
-    throw std::invalid_argument("smr_service: bad escalation timeout");
   if (!shard_selectors.empty() && shard_selectors.size() != shards)
     throw std::invalid_argument(
         "smr_service: shard_selectors must match shard count");
@@ -152,6 +150,8 @@ void smr_service::on_timeout(int timer_id) {
         set_timer(std::max<sim_time>(options_.resubmit_timeout / 2, 1));
     return;
   }
+  if (escalation_due(timer_id, counters_.escalations, "smr.escalate", "smr"))
+    return;
   const auto it = timers_.find(timer_id);
   if (it == timers_.end()) return;  // stale
   const timer_ref ref = it->second;
@@ -177,9 +177,6 @@ void smr_service::on_timeout(int timer_id) {
       arm_heartbeat(ref.shard);
       return;
     }
-    case timer_ref::kind_t::escalate:
-      escalate(ref);
-      return;
   }
 }
 
@@ -188,13 +185,13 @@ void smr_service::arm_lease(std::uint32_t shard) {
   if (ss.lease_armed) return;
   const sim_time deadline = ss.leader_activity + lease_patience(ss);
   timers_[set_timer(std::max<sim_time>(deadline - now(), 1))] =
-      timer_ref{timer_ref::kind_t::lease, shard, 0};
+      timer_ref{timer_ref::kind_t::lease, shard};
   ss.lease_armed = true;
 }
 
 void smr_service::arm_heartbeat(std::uint32_t shard) {
   timers_[set_timer(options_.heartbeat_period)] =
-      timer_ref{timer_ref::kind_t::heartbeat, shard, 0};
+      timer_ref{timer_ref::kind_t::heartbeat, shard};
 }
 
 void smr_service::renew_lease(std::uint32_t shard) {
@@ -492,8 +489,8 @@ void smr_service::begin_phase2(std::uint32_t shard, std::uint64_t slot,
     ++counters_.targeted_phase2;
     process_set targets = sample_targets(shard);
     targets.erase(id());  // accepted locally above
-    multicast(std::move(targets), std::move(wire));
-    arm_escalation(shard, slot);
+    send_targeted(std::move(targets), std::move(wire), kEscalationTimeout,
+                  slot * shards_.size() + shard);
   } else {
     broadcast(std::move(wire));
   }
@@ -699,27 +696,14 @@ process_set smr_service::sample_targets(std::uint32_t shard) {
   return targets;
 }
 
-void smr_service::arm_escalation(std::uint32_t shard, std::uint64_t slot) {
-  if (options_.escalation_timeout <= 0) return;  // mutation switch
-  timers_[set_timer(options_.escalation_timeout)] =
-      timer_ref{timer_ref::kind_t::escalate, shard, slot};
-}
-
-/// A targeted Phase-2 round ran out of patience: fall back to the full
-/// broadcast, which reaches every process the flooding layer can —
-/// liveness under a failure pattern is therefore the broadcast engine's.
-void smr_service::escalate(const timer_ref& ref) {
-  shard_state& ss = shards_[ref.shard];
-  const auto it = ss.inflight.find(ref.slot);
-  if (!ss.leading || it == ss.inflight.end()) return;  // decided already
-  ++counters_.escalations;
-  if (tracer_) {
-    const auto root = ss.slot_spans.find(ref.slot);
-    tracer_->leaf("smr.escalate", "smr", id(),
-                  root != ss.slot_spans.end() ? root->second : span_ref{},
-                  now());
-  }
-  broadcast(it->second.wire);
+/// Escalation round slot·shards + shard: the 2A in flight for that slot
+/// when the timer fires (a re-proposal in a later view escalates its own
+/// 2A), or nullptr once decided.
+message_ptr smr_service::pending_wire(std::uint64_t round) const {
+  const shard_state& ss = shards_[round % shards_.size()];
+  const auto it = ss.inflight.find(round / shards_.size());
+  if (!ss.leading || it == ss.inflight.end()) return nullptr;
+  return it->second.wire;
 }
 
 // ---------------------------------------------------------------------------

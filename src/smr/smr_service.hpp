@@ -32,8 +32,8 @@
 //   * pipelining — up to `pipeline_window` slots run Phase 2 concurrently;
 //     commits are announced and applied strictly in slot order;
 //   * targeted quorums — Phase-2 messages go only to a strategy-sampled
-//     write quorum (strategy/selector.hpp + flood_multicast), with a
-//     timeout escalation to broadcast as the liveness fallback.
+//     write quorum (strategy/selector.hpp + flood_multicast), with
+//     component::send_targeted's broadcast escalation as the fallback.
 //
 // Safety is per-slot Paxos over the GQS (Consistency of the quorum
 // system); the acceptor side is the shared acceptor_core under one
@@ -92,10 +92,9 @@ struct smr_options {
   /// Number of consensus groups the keyspace partitions across.
   std::size_t shards = 1;
   /// Follower patience before a view change, at view v:
-  /// lease_duration + v · lease_backoff_unit (growing per view so correct
+  /// lease_duration + v · kLeaseBackoffUnit (growing per view so correct
   /// processes eventually overlap in a view, as in consensus_options).
   sim_time lease_duration = 150000;    // 150 ms
-  sim_time lease_backoff_unit = 50000; // 50 ms — the seed's C
   /// Leader keep-alive while idle (renews follower leases between
   /// batches).
   sim_time heartbeat_period = 50000;   // 50 ms
@@ -107,10 +106,6 @@ struct smr_options {
   /// has not applied within this delay — the liveness path across leader
   /// failures. Dedup makes the retry safe.
   sim_time resubmit_timeout = 400000;  // 400 ms
-  /// With a selector: delay before a Phase-2 round that still lacks
-  /// write-quorum coverage falls back to full broadcast. 0 disables
-  /// escalation — ONLY for mutation tests.
-  sim_time escalation_timeout = 40000; // 40 ms
   /// Strategy-targeted Phase-2 quorums (strategy/shard_plan.hpp): empty,
   /// or one selector per shard. Empty or a null entry keeps full
   /// broadcast.
@@ -295,7 +290,7 @@ class smr_service : public component {
   struct inflight_round {
     smr_entry_ptr entry;
     quorum_cover_tracker acks;
-    message_ptr wire;  // kept for escalation rebroadcast
+    message_ptr wire;  // targeted mode: kept for escalation rebroadcast
   };
 
   /// A command submitted here, until this replica applies it.
@@ -340,10 +335,12 @@ class smr_service : public component {
   };
 
   struct timer_ref {
-    enum class kind_t { lease, heartbeat, escalate } kind;
+    enum class kind_t { lease, heartbeat } kind;
     std::uint32_t shard;
-    std::uint64_t slot;  ///< escalate only
   };
+
+  /// Per-view growth of the lease patience (the seed's C).
+  static constexpr sim_time kLeaseBackoffUnit = 50000;  // 50 ms
 
   void check_key(service_key key) const {
     if (key >= keys_)
@@ -358,7 +355,7 @@ class smr_service : public component {
 
   sim_time lease_patience(const shard_state& ss) const {
     return options_.lease_duration +
-           static_cast<sim_time>(ss.view) * options_.lease_backoff_unit;
+           static_cast<sim_time>(ss.view) * kLeaseBackoffUnit;
   }
 
   void submit(smr_command cmd, pending_cmd rec);
@@ -400,8 +397,7 @@ class smr_service : public component {
   void on_hb(const hb_msg& m);
 
   process_set sample_targets(std::uint32_t shard);
-  void arm_escalation(std::uint32_t shard, std::uint64_t slot);
-  void escalate(const timer_ref& ref);
+  message_ptr pending_wire(std::uint64_t round) const override;
   void retry_tick();
 
   /// Binds counters/gauges/probes onto the host's observability surface

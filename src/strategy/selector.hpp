@@ -4,7 +4,7 @@
 // selector turns it into *targeted* quorum accesses: each operation draws
 // one quorum from the distribution and the protocol contacts only its
 // members (with timeout-driven escalation back to full broadcast — see
-// quorum/quorum_service.hpp and smr/smr_service.hpp's Phase 2).
+// component::send_targeted in sim/transport.hpp).
 //
 // Sampling is a pure function of (selector seed, process id, operation
 // sequence number, access kind): no shared mutable state, no dependence

@@ -1,15 +1,13 @@
-// qaf_worlds.hpp — shared helpers for quorum-access-function tests and
-// benches: builds a simulation populated with qaf nodes over a given quorum
-// configuration and fault plan.
+// qaf_worlds.hpp — shared helpers for quorum-access-function tests: a
+// simulation populated with qaf nodes over a given quorum configuration and
+// fault plan (the canonical component_world of workload/worlds.hpp).
 #pragma once
 
-#include <memory>
 #include <set>
-#include <vector>
 
 #include "quorum/qaf_classical.hpp"
 #include "quorum/qaf_generalized.hpp"
-#include "sim/simulation.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs::testing {
 
@@ -28,26 +26,10 @@ inline quorum_access<int_set>::update_fn insert_update(int x) {
   };
 }
 
-/// Builds a simulation with one component of type Qaf per process, each
-/// hosted on its own flooding endpoint.
+/// One component of type Qaf per process, each hosted on its own
+/// flooding endpoint.
 template <class Qaf>
-struct qaf_world {
-  simulation sim;
-  std::vector<Qaf*> nodes;
-
-  template <class... NodeArgs>
-  qaf_world(process_id n, fault_plan faults, std::uint64_t seed,
-            network_options net, NodeArgs&&... node_args)
-      : sim(n, net, std::move(faults), seed) {
-    for (process_id p = 0; p < n; ++p) {
-      auto comp = std::make_unique<Qaf>(node_args...);
-      nodes.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    sim.start();
-    sim.run_until(0);
-  }
-};
+using qaf_world = component_world<Qaf>;
 
 using classical_world = qaf_world<classical_qaf<int_set>>;
 using generalized_world = qaf_world<generalized_qaf<int_set>>;

@@ -1,39 +1,14 @@
-// register_worlds.hpp — shared helpers for register tests and benches.
+// register_worlds.hpp — shared helpers for register tests: the canonical
+// register_world (workload/worlds.hpp) over the Figure 4 and ABD nodes.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "core/factories.hpp"
 #include "register/atomic_register.hpp"
-#include "register/register_client.hpp"
-#include "sim/simulation.hpp"
+#include "workload/worlds.hpp"
 
 namespace gqs::testing {
 
-template <class RegisterNode>
-struct register_world {
-  simulation sim;
-  std::vector<RegisterNode*> nodes;
-  register_client<RegisterNode> client;
-
-  template <class... NodeArgs>
-  register_world(process_id n, fault_plan faults, std::uint64_t seed,
-                 network_options net, NodeArgs&&... node_args)
-      : sim(n, net, std::move(faults), seed),
-        client(sim, {}) {
-    std::vector<RegisterNode*> ptrs;
-    for (process_id p = 0; p < n; ++p) {
-      auto comp = std::make_unique<RegisterNode>(node_args...);
-      ptrs.push_back(comp.get());
-      sim.set_node(p, std::make_unique<single_host>(std::move(comp)));
-    }
-    nodes = ptrs;
-    client = register_client<RegisterNode>(sim, std::move(ptrs));
-    sim.start();
-    sim.run_until(0);
-  }
-};
+using gqs::register_world;
 
 using gqs_register_world = register_world<gqs_register_node>;
 using abd_register_world = register_world<abd_register_node>;

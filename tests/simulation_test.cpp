@@ -248,6 +248,23 @@ TEST(Simulation, FaultPlanFromPatternDisconnectsImplicitChannels) {
   EXPECT_TRUE(plan.alive_at(0, 1_s));
 }
 
+TEST(Simulation, FaultPlanFailuresAreMonotone) {
+  // Failing an element again keeps the earlier time: a later crash or
+  // disconnect must not revive what from_pattern failed at 0.
+  const auto fig = make_figure1();
+  fault_plan plan = fault_plan::from_pattern(fig.gqs.fps[0], 0);
+  plan.crash(3, 10_ms);
+  plan.disconnect(0, 2, 10_ms);
+  EXPECT_EQ(plan.crash_time(3), sim_time{0});
+  EXPECT_EQ(plan.disconnect_time(0, 2), sim_time{0});
+  EXPECT_FALSE(plan.alive_at(3, 5_ms));
+  EXPECT_FALSE(plan.channel_up_at(0, 2, 5_ms));
+  // An earlier time still replaces a later one.
+  plan.crash(1, 20_ms);
+  plan.crash(1, 10_ms);
+  EXPECT_EQ(plan.crash_time(1), sim_time{10_ms});
+}
+
 TEST(Simulation, PostRunsAtCurrentInstant) {
   simulation sim = make_sim(1);
   install_recorders(sim);

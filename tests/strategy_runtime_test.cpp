@@ -23,7 +23,7 @@
 namespace gqs {
 namespace {
 
-constexpr process_id kA = 0, kC = 2, kD = 3;
+constexpr process_id kA = 0, kB = 1, kC = 2, kD = 3;
 
 selector_ptr optimal_selector(const generalized_quorum_system& gqs,
                               std::uint64_t seed) {
@@ -249,10 +249,11 @@ TEST(Escalation, BroadcastFallbackCompletesUnderF1) {
       [&] { return w.ops_done(); }, 10'000'000);
   ASSERT_TRUE(done) << "operations must survive via broadcast fallback";
 
-  std::uint64_t escalations = 0;
-  for (const keyed_register_node* node : w.world.nodes)
-    escalations += node->counters().escalations;
-  EXPECT_GE(escalations, 1u);
+  // One escalation per flush group at a: the write's get and set, then
+  // the read's get and set. No other process issues an operation.
+  EXPECT_EQ(w.world.nodes[kA]->counters().escalations, 4u);
+  for (process_id p : {kB, kC, kD})
+    EXPECT_EQ(w.world.nodes[p]->counters().escalations, 0u) << "process " << p;
 
   // The read must observe the write, and the recorded history must be
   // linearizable under the Appendix-B checker.

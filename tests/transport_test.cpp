@@ -1,5 +1,6 @@
 // Unit tests for the component/transport layer: single_host delivery and
-// timers, mux_host channel isolation and timer routing.
+// timers, the targeted-send escalation helper, mux_host channel isolation
+// and timer routing.
 #include "sim/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -110,6 +111,143 @@ TEST(SingleHost, TypedAccess) {
 TEST(Component, UseBeforeBindThrows) {
   probe lonely;
   EXPECT_THROW(lonely.say(0, 1), std::logic_error);
+}
+
+// ---------- send_targeted / escalation_due ----------
+
+/// Records every send and timer in call order; timers fire only when the
+/// test says so.
+struct recording_transport final : transport {
+  struct event {
+    enum class kind { multicast, broadcast, timer } what;
+    message_ptr msg;  ///< null for timers
+    process_set dests;
+    int timer = -1;
+  };
+  std::vector<event> log;
+  int next_timer = 0;
+  mutable obs_bundle bundle;
+
+  void unicast(process_id, message_ptr) override { ADD_FAILURE(); }
+  void broadcast(message_ptr m) override {
+    log.push_back({event::kind::broadcast, std::move(m), {}});
+  }
+  void multicast(process_set dests, message_ptr m) override {
+    log.push_back({event::kind::multicast, std::move(m), dests});
+  }
+  int set_timer(sim_time) override {
+    log.push_back({event::kind::timer, nullptr, {}, next_timer});
+    return next_timer++;
+  }
+  process_id self() const override { return 0; }
+  process_id size() const override { return 4; }
+  sim_time now() const override { return 0; }
+  obs_bundle* obs() const override { return &bundle; }
+
+  std::size_t count(event::kind k) const {
+    std::size_t c = 0;
+    for (const event& e : log) c += e.what == k;
+    return c;
+  }
+};
+
+/// Sends targeted rounds whose pending wire the test controls, and routes
+/// every timeout through escalation_due.
+class targeter : public component {
+ public:
+  message_ptr pending;  ///< what a round reports when its timer fires
+  mutable std::vector<std::uint64_t> asked;  ///< rounds asked at fire time
+  std::uint64_t escalations = 0;
+  std::vector<int> foreign;  ///< timers escalation_due did not claim
+
+  void deliver(process_id, const message_ptr&) override {}
+  void on_timeout(int timer_id) override {
+    if (!escalation_due(timer_id, escalations, "t.escalate", "t"))
+      foreign.push_back(timer_id);
+  }
+  message_ptr pending_wire(std::uint64_t round) const override {
+    asked.push_back(round);
+    return pending;
+  }
+  void send(message_ptr wire, sim_time timeout, std::uint64_t round = 7) {
+    send_targeted(process_set{1, 2}, std::move(wire), timeout, round);
+  }
+  int arm(sim_time delay) { return set_timer(delay); }
+};
+
+TEST(SendTargeted, MulticastsBeforeArmingOneTimer) {
+  recording_transport tr;
+  targeter t;
+  t.bind(tr);
+  const message_ptr wire = make_message<note>(1);
+  t.send(wire, 40_ms);
+  ASSERT_EQ(tr.log.size(), 2u);
+  EXPECT_EQ(tr.log[0].what, recording_transport::event::kind::multicast);
+  EXPECT_EQ(tr.log[0].msg, wire);
+  EXPECT_EQ(tr.log[0].dests, (process_set{1, 2}));
+  EXPECT_EQ(tr.log[1].what, recording_transport::event::kind::timer);
+}
+
+TEST(SendTargeted, DecidedRoundNeitherBroadcastsNorCounts) {
+  recording_transport tr;
+  targeter t;
+  t.bind(tr);
+  t.send(make_message<note>(1), 40_ms);
+  t.pending = nullptr;  // the round completed before the timeout
+  t.on_timeout(tr.log.back().timer);
+  EXPECT_EQ(tr.count(recording_transport::event::kind::broadcast), 0u);
+  EXPECT_EQ(t.escalations, 0u);
+  EXPECT_TRUE(t.foreign.empty()) << "the timer is still the helper's";
+}
+
+TEST(SendTargeted, PendingRoundBroadcastsFireTimeWireOnce) {
+  recording_transport tr;
+  tr.bundle.tracer.start_recording();
+  targeter t;
+  t.bind(tr);
+  t.send(make_message<note>(1), 40_ms, /*round=*/11);
+  const int timer = tr.log.back().timer;
+  // The round is re-sent (say, a re-proposal in a later view) before the
+  // timer fires: the escalation must carry the wire current at fire time.
+  const span_ref round =
+      tr.bundle.tracer.begin_span("t.round", "t", 0, {}, 0);
+  const message_ptr current = make_message<note>(2);
+  stamp_trace_span(current, round);
+  t.pending = current;
+  t.on_timeout(timer);
+  t.on_timeout(timer);  // already consumed: not the helper's any more
+  ASSERT_EQ(tr.count(recording_transport::event::kind::broadcast), 1u);
+  EXPECT_EQ(tr.log.back().msg, current);
+  EXPECT_EQ(t.asked, std::vector<std::uint64_t>{11});
+  EXPECT_EQ(t.escalations, 1u);
+  EXPECT_EQ(t.foreign, std::vector<int>{timer});
+  const span_rec& leaf = tr.bundle.tracer.spans().back();
+  EXPECT_EQ(leaf.name, "t.escalate");
+  EXPECT_EQ(leaf.parent, round.id);
+}
+
+TEST(SendTargeted, ZeroTimeoutArmsNoTimer) {
+  recording_transport tr;
+  targeter t;
+  t.bind(tr);
+  t.send(make_message<note>(1), 0);
+  EXPECT_EQ(tr.count(recording_transport::event::kind::multicast), 1u);
+  EXPECT_EQ(tr.count(recording_transport::event::kind::timer), 0u);
+}
+
+TEST(SendTargeted, ForeignTimerIsNotClaimed) {
+  recording_transport tr;
+  targeter t;
+  t.bind(tr);
+  t.pending = make_message<note>(1);
+  t.send(t.pending, 40_ms);
+  const int own = t.arm(5_ms);
+  t.on_timeout(own);
+  t.on_timeout(999);
+  EXPECT_EQ(t.foreign, (std::vector<int>{own, 999}));
+  EXPECT_TRUE(t.asked.empty());
+  EXPECT_EQ(tr.count(recording_transport::event::kind::broadcast), 0u);
+  EXPECT_EQ(t.escalations, 0u);
 }
 
 struct mux_world {
